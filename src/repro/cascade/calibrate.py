@@ -9,9 +9,11 @@ against decision quality (FAR/FRR drift versus the full pipeline).
    (``verify_many(..., full_pipeline=True)`` — the cascade bypass);
 3. sweep candidate bands drawn from the empirical score quantiles
    (accept edges from genuine scores, reject edges from impostor
-   scores) and, for each, replay the cascade rule in closed form —
-   a probe inside the band inherits its full-pipeline decision, so no
-   extra model forwards are needed;
+   scores) and, for each, replay the cascade rule in closed form
+   (``score <= t_accept`` accepts, ``score > t_reject`` rejects, as in
+   :class:`repro.cascade.policy.ExitPolicy`) — a probe inside the band
+   inherits its full-pipeline decision, so no extra model forwards are
+   needed;
 4. keep the band with the largest stage-1 exit fraction whose FAR and
    FRR *increase* stays within the configured epsilons (one-sided:
    getting better than the full pipeline is never penalised).
@@ -151,7 +153,7 @@ def calibrate_cascade(
             if t_reject < t_accept:
                 continue
             exit_accept = scores <= t_accept
-            exit_reject = (scores >= t_reject) & ~exit_accept
+            exit_reject = scores > t_reject
             exited = exit_accept | exit_reject
             accepted = np.where(exited, exit_accept, full_accepted)
             far, frr = _error_rates(accepted, genuine_mask)

@@ -5,14 +5,18 @@ audit-sampling counter.  Scores are distance-like (lower = more
 genuine), and the band ``(t_accept, t_reject)`` partitions them:
 
 * ``score <= t_accept``  — clear genuine, exit as a stage-1 accept;
-* ``score >= t_reject``  — clear impostor, exit as a stage-1 reject;
+* ``score > t_reject``   — clear impostor, exit as a stage-1 reject;
 * in between             — borderline, pay the full extractor.
 
+The reject edge is open, so the two exit regions never overlap (a
+degenerate band ``t_accept == t_reject`` accepts a score on the edge).
 Widening the band (lower ``t_accept``, higher ``t_reject``) is
 *monotone*: it can only move probes out of the exit regions into the
 borderline band, never flip a surviving exit or change what stage 2
 decides about a probe that was already borderline — the property the
-hypothesis suite pins.
+hypothesis suite pins.  With a closed reject edge a score equal to
+both edges of a degenerate band would be accepted there but rejected
+once only the accept edge moved down.
 
 ``forced_full_fraction`` implements audit sampling deterministically:
 a monotone probe counter forces every probe whose index crosses a
@@ -78,16 +82,16 @@ class ExitPolicy:
     def route(self, scores: np.ndarray) -> np.ndarray:
         """Route one batch of stage-1 scores; ``(K,)`` route codes.
 
-        The accept edge wins a degenerate band (``t_accept ==
-        t_reject`` with the score on both edges).  Forced-full audit
-        sampling overrides the band.
+        The accept edge is closed and the reject edge open, so a score
+        on both edges of a degenerate band is accepted.  Forced-full
+        audit sampling overrides the band.
         """
         scores = np.asarray(scores, dtype=np.float64)
         config = self.config
         routes = np.where(
             scores <= config.t_accept,
             ROUTE_ACCEPT,
-            np.where(scores >= config.t_reject, ROUTE_REJECT, ROUTE_BORDERLINE),
+            np.where(scores > config.t_reject, ROUTE_REJECT, ROUTE_BORDERLINE),
         ).astype(np.int64)
         fraction = config.forced_full_fraction
         if fraction > 0.0 and scores.size:

@@ -277,7 +277,7 @@ class CascadeConfig:
     With the cascade enabled, a cheap stage-1 scorer produces one
     distance-like confidence score per probe from the preprocessed
     signal, and the exit band ``(t_accept, t_reject)`` routes it:
-    ``score <= t_accept`` accepts immediately, ``score >= t_reject``
+    ``score <= t_accept`` accepts immediately, ``score > t_reject``
     rejects immediately, and only the borderline band in between pays
     the full extractor (stage 2).  Disabled by default — and when
     disabled every decision is bitwise identical to the plain pipeline.
@@ -294,7 +294,7 @@ class CascadeConfig:
             sharing the production weights).
         t_accept: accept-band edge (inclusive).  Scores at or below it
             exit as stage-1 accepts.
-        t_reject: reject-band edge (inclusive).  Scores at or above it
+        t_reject: reject-band edge (exclusive).  Scores above it
             exit as stage-1 rejects.  Must be >= ``t_accept`` — an
             inverted band is rejected at construction.  Both edges are
             operating points fitted by

@@ -24,6 +24,7 @@ their meaning under every activity condition.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.config import PreprocessConfig
 from repro.dsp.windows import window_start_indices, window_std
@@ -57,18 +58,10 @@ def _detection_signal(
 ) -> np.ndarray:
     """High-passed accelerometer block ``(n, 3)`` used for detection.
 
-    The first-sample padding lets the filter settle on the gravity DC
-    level before the real samples arrive; without it the start-up
-    transient of the high-pass looks like a huge vibration at t = 0 and
-    the std rule triggers immediately.
+    The one-recording case of :func:`detection_signals_batch`.
     """
-    from repro.dsp.filters import sosfilt
-
     recording = ensure_raw_recording(recording)
-    block = recording[:, list(ACCEL_AXES)]
-    pad = _detection_pad(config)
-    padded = np.concatenate([np.repeat(block[:1], pad, axis=0), block])
-    return sosfilt(_detection_sos(config, sos), padded.T).T[pad:]
+    return detection_signals_batch(recording[None], config, sos)[0]
 
 
 def detection_signals_batch(
@@ -78,10 +71,13 @@ def detection_signals_batch(
 ) -> np.ndarray:
     """Detection signals for a rectangular ``(B, n, 6)`` batch at once.
 
-    One biquad pass filters every recording's accelerometer block
-    simultaneously; each slice ``[b]`` equals
-    ``_detection_signal(recordings[b], config)`` because the filter
-    recursion is elementwise over the batch dimension.
+    One filter pass covers every recording's accelerometer block; each
+    slice ``[b]`` is that recording's detection signal because the
+    filter recursion is elementwise over the batch dimension.  The
+    first-sample padding lets the filter settle on the gravity DC level
+    before the real samples arrive; without it the start-up transient
+    of the high-pass looks like a huge vibration at t = 0 and the std
+    rule triggers immediately.
     """
     from repro.dsp.filters import sosfilt
 
@@ -226,11 +222,10 @@ def refine_from_region(
     column-contiguous layout, as the streaming detector's ring gather
     produces); the return value is the absolute refined onset.
     """
-    # Rolling std of the detection metric on a stride-1 grid.
-    rolling = np.empty(hi - lo + 1)
-    for offset, start in enumerate(range(lo, hi + 1)):
-        chunk = region[start - lo : start - lo + window]
-        rolling[offset] = chunk.std(axis=0).max()
+    # Rolling std of the detection metric on a stride-1 grid: one
+    # (hi - lo + 1, 3, window) view, reduced over its time axis.
+    starts = sliding_window_view(region, window, axis=0)[: hi - lo + 1]
+    rolling = starts.std(axis=-1).max(axis=1)
     # Anchor at the half-rise point of the attack.  A relative anchor is
     # effort-invariant: a louder trial crosses any *absolute* threshold
     # earlier, which would shift the segment between trials.

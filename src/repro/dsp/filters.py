@@ -1,12 +1,15 @@
-"""Butterworth filter design and filtering, built from first principles.
+"""Butterworth filter design and filtering.
 
 The paper removes body-motion low-frequency components with a high-pass
 four-order Butterworth filter cut off at 20 Hz (Section IV).  This
-module implements the complete design chain rather than delegating to
-scipy -- analog prototype poles, frequency transformation, bilinear
-transform with prewarping, and second-order-section (biquad) assembly --
-plus a batched direct-form-II-transposed ``sosfilt``.  The test suite
-cross-validates both design and filtering against ``scipy.signal``.
+module builds the complete design chain from first principles rather
+than delegating it to scipy -- analog prototype poles, frequency
+transformation, bilinear transform with prewarping, and second-order
+section (biquad) assembly.  Filtering itself is one recursion,
+``scipy.signal.sosfilt`` (direct form II transposed), which both the
+batch :func:`sosfilt` and the streaming
+:class:`repro.stream.StreamingSOSFilter` call.  The test suite
+cross-validates the design against ``scipy.signal``.
 
 Only even orders are supported (2..8); the paper uses order 4.
 """
@@ -14,6 +17,7 @@ Only even orders are supported (2..8); the paper uses order 4.
 from __future__ import annotations
 
 import numpy as np
+from scipy import signal as scipy_signal
 
 from repro.errors import ConfigError, ShapeError
 
@@ -188,26 +192,24 @@ def design_bandstop(
     return np.tile(section, (order // 2, 1))
 
 
-def normalized_sections(
-    sos: np.ndarray,
-) -> list[tuple[np.float64, np.float64, np.float64, np.float64, np.float64]]:
-    """Per-section ``(b0, b1, b2, a1, a2)`` with ``a0`` divided out.
+def normalized_sections(sos: np.ndarray) -> np.ndarray:
+    """The ``(n, 6)`` sections ``scipy.signal.sosfilt`` consumes.
 
     This is the one place the coefficient normalisation rule lives:
-    divide by ``a0`` only when ``abs(a0 - 1.0) > 1e-12``, via the exact
-    expression ``c / a0``.  Both :func:`sosfilt` and the streaming twin
+    a section is divided by its ``a0`` only when
+    ``abs(a0 - 1.0) > 1e-12``, via the exact expression ``c / a0``, and
+    every returned ``a0`` is exactly ``1.0`` (scipy rejects any other
+    value).  Both :func:`sosfilt` and the streaming filter
     (:class:`repro.stream.StreamingSOSFilter`) consume this helper, so
     the two paths run on bitwise-identical coefficients by construction.
     """
     sos = np.asarray(sos, dtype=np.float64)
     if sos.ndim != 2 or sos.shape[1] != 6:
         raise ShapeError("sos must be (num_sections, 6)")
-    sections = []
-    for section in sos:
-        b0, b1, b2, a0, a1, a2 = section
-        if abs(a0 - 1.0) > 1e-12:
-            b0, b1, b2, a1, a2 = (c / a0 for c in (b0, b1, b2, a1, a2))
-        sections.append((b0, b1, b2, a1, a2))
+    sections = sos.copy()
+    rescale = np.abs(sos[:, 3] - 1.0) > 1e-12
+    sections[rescale] = sos[rescale] / sos[rescale, 3:4]
+    sections[:, 3] = 1.0
     return sections
 
 
@@ -218,37 +220,26 @@ def sosfilt(sos: np.ndarray, signal: np.ndarray) -> np.ndarray:
     a ``(6, n)`` signal array filters all six axes in one call.
 
     **Zero-initial-condition contract.**  Every call starts each
-    section's two delay registers at exactly ``0.0`` (``s1 = s2 = 0``):
-    the filter behaves as if the signal were preceded by infinite
-    silence, and the first output sample is ``b0 * x[0]`` through the
-    cascade.  Callers that need the filter settled on a DC level (the
-    onset detector's gravity-loaded accelerometer) must pad the input
-    themselves — see ``repro.dsp.detection._detection_signal`` — because
-    this function never carries state across calls.  The streaming twin
-    honours the same contract: a freshly constructed (or ``reset()``)
+    section's two delay registers at exactly ``0.0``: the filter
+    behaves as if the signal were preceded by infinite silence, and the
+    first output sample is ``b0 * x[0]`` through the cascade.  Callers
+    that need the filter settled on a DC level (the onset detector's
+    gravity-loaded accelerometer) must pad the input themselves — see
+    ``repro.dsp.detection.detection_signals_batch`` — because this
+    function never carries state across calls.  The streaming filter
+    runs the same scipy recursion and carries its ``zi`` registers
+    between pushes instead: a fresh (or ``reset()``)
     :class:`repro.stream.StreamingSOSFilter` starts from the same zero
-    state, so its first-chunk transient is bitwise identical to this
-    function's output on the same samples, and chunked processing with
-    carried state is bitwise identical to one whole-signal call (the
-    per-(sample, section) update is elementwise, so the section-outer /
-    time-inner loop order commutes with any chunking of the time axis).
+    state, so chunked processing is bitwise identical to one
+    whole-signal call.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim == 0:
         raise ShapeError("signal must have at least one dimension")
-    out = signal.copy()
-    batch_shape = out.shape[:-1]
-    num = out.shape[-1]
-    for b0, b1, b2, a1, a2 in normalized_sections(sos):
-        s1 = np.zeros(batch_shape)
-        s2 = np.zeros(batch_shape)
-        for i in range(num):
-            x = out[..., i]
-            y = b0 * x + s1
-            s1 = b1 * x - a1 * y + s2
-            s2 = b2 * x - a2 * y
-            out[..., i] = y
-    return out
+    sections = normalized_sections(sos)
+    if signal.shape[-1] == 0:
+        return signal.copy()  # scipy rejects an empty time axis
+    return scipy_signal.sosfilt(sections, signal, axis=-1)
 
 
 def highpass(

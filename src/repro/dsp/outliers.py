@@ -33,22 +33,13 @@ def mad_outlier_mask(values: np.ndarray, threshold: float = 3.5) -> np.ndarray:
     ``threshold`` (3.5 is the classic Iglewicz-Hoaglin recommendation).
     A zero MAD (more than half the values identical) marks any value
     different from the median as an outlier only if some deviation
-    exists; with all values equal, nothing is flagged.
+    exists; with all values equal, nothing is flagged.  The 1-D case of
+    :func:`mad_outlier_mask_batch`.
     """
-    if threshold <= 0:
-        raise ConfigError("threshold must be positive")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ShapeError("mad_outlier_mask() expects a 1-D array")
-    if values.size == 0:
-        return np.zeros(0, dtype=bool)
-    median = np.median(values)
-    deviation = np.abs(values - median)
-    spread = mad(values)
-    if spread == 0.0:
-        return deviation > 0.0
-    modified_z = _MAD_TO_SIGMA * deviation / spread
-    return modified_z > threshold
+    return mad_outlier_mask_batch(values, threshold)
 
 
 def mad_outlier_mask_batch(
@@ -56,11 +47,9 @@ def mad_outlier_mask_batch(
 ) -> np.ndarray:
     """Row-wise outlier masks over the last axis of an ``(..., n)`` stack.
 
-    Vectorised form of :func:`mad_outlier_mask`: the median, MAD and
-    modified z-score are computed along the last axis for every row at
-    once, so a whole ``(B, 6, n)`` segment batch needs two medians
-    instead of ``6 B``.  Per row the result is identical to the scalar
-    helper.
+    The median, MAD and modified z-score are computed along the last
+    axis for every row at once, so a whole ``(B, 6, n)`` segment batch
+    needs two medians instead of ``6 B``.
     """
     if threshold <= 0:
         raise ConfigError("threshold must be positive")
@@ -73,7 +62,10 @@ def mad_outlier_mask_batch(
     deviation = np.abs(values - median)
     spread = np.median(deviation, axis=-1, keepdims=True)
     zero_spread = spread == 0.0
-    modified_z = _MAD_TO_SIGMA * deviation / np.where(zero_spread, 1.0, spread)
+    # A subnormal MAD can overflow the ratio to inf; inf > threshold is
+    # the correct verdict for such a deviation, so the overflow is benign.
+    with np.errstate(over="ignore"):
+        modified_z = _MAD_TO_SIGMA * deviation / np.where(zero_spread, 1.0, spread)
     return np.where(zero_spread, deviation > 0.0, modified_z > threshold)
 
 

@@ -10,7 +10,6 @@ enforces.
 
 from repro.stream.dsp import (
     SegmentAssembler,
-    StreamingMinMaxNormalizer,
     StreamingOnsetDetector,
     StreamingSOSFilter,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "SessionDecision",
     "SessionState",
     "StreamSession",
-    "StreamingMinMaxNormalizer",
     "StreamingOnsetDetector",
     "StreamingSOSFilter",
 ]

@@ -1,35 +1,31 @@
-"""Stateful streaming twins of the Section IV batch DSP primitives.
+"""Stateful streaming forms of the Section IV batch DSP primitives.
 
 Everything in this module is held to one standard: **bitwise equality
 with the batch pipeline on the concatenated signal, for every possible
 chunking of the input** — including 1-sample chunks and uneven tails.
 The equivalence arguments (verified by ``tests/test_stream_equivalence.py``):
 
-* :class:`StreamingSOSFilter` — the direct-form-II-transposed biquad
-  update ``y = b0*x + s1; s1 = b1*x - a1*y + s2; s2 = b2*x - a2*y`` is
-  elementwise per (sample, section), so the section-outer / time-inner
-  loop of :func:`repro.dsp.filters.sosfilt` commutes with any chunking
-  of the time axis once the per-section ``(s1, s2)`` registers are
-  carried across ``push`` calls.  Coefficients come from the shared
-  :func:`repro.dsp.filters.normalized_sections` helper, and a fresh
-  (or ``reset``) filter starts from the batch function's documented
-  zero-initial-condition state.
+* :class:`StreamingSOSFilter` — the batch :func:`repro.dsp.filters.sosfilt`
+  and this filter run the same ``scipy.signal.sosfilt`` recursion on
+  the same :func:`repro.dsp.filters.normalized_sections` coefficients.
+  The direct-form-II-transposed update is elementwise per (sample,
+  section), so carrying scipy's ``zi`` registers across ``push`` calls
+  makes any chunking of the time axis equal one whole-signal call, and
+  a fresh (or ``reset``) filter starts from the batch function's
+  documented zero-initial-condition state.
 
 * :class:`StreamingOnsetDetector` — numpy's reductions choose their
   summation order by memory layout (contiguous axes take the pairwise
   8-accumulator path, strided axes fall back to sequential), so the
   detector's ring buffer stores the high-passed accelerometer
   *axis-major* — ``(3, capacity)`` C-contiguous — mirroring the batch
-  detection signal ``sosfilt(sos, padded.T).T[pad:]``, whose reduction
-  axis is likewise contiguous.  Window metrics and the stride-1
-  refinement then reduce over contiguous runs exactly as the batch
-  path does, and the std-rule scan is decided candidate-by-candidate
-  in the same order as :func:`repro.dsp.detection.detect_onset`.
-
-* :class:`StreamingMinMaxNormalizer` — min/max are exact and
-  associative, so running per-lane extrema over chunks equal the batch
-  extrema bit-for-bit, and Eq. 7 applied with them reproduces
-  :func:`repro.dsp.normalize.min_max_normalize` exactly.
+  detection signal of :func:`repro.dsp.detection.detection_signals_batch`
+  (filtered axis-major, then transposed back), whose reduction axis is
+  likewise contiguous.  Window metrics (one ``std(axis=1)`` per window)
+  and the stride-1 refinement then reduce over contiguous runs exactly
+  as the batch path does, and the std-rule scan is decided
+  candidate-by-candidate in the same order as
+  :func:`repro.dsp.detection.detect_onset`.
 
 * :class:`SegmentAssembler` — MAD outlier replacement is median-based
   and therefore irreducibly segment-level: there is no exact streaming
@@ -43,6 +39,7 @@ The equivalence arguments (verified by ``tests/test_stream_equivalence.py``):
 from __future__ import annotations
 
 import numpy as np
+from scipy import signal as scipy_signal
 
 from repro.config import PreprocessConfig
 from repro.dsp.detection import (
@@ -59,9 +56,9 @@ from repro.types import ACCEL_AXES, NUM_AXES
 
 
 class StreamingSOSFilter:
-    """Chunked biquad cascade carrying per-section state across pushes.
+    """Chunked biquad cascade carrying scipy's ``zi`` state across pushes.
 
-    The streaming twin of :func:`repro.dsp.filters.sosfilt`: feeding
+    The streaming form of :func:`repro.dsp.filters.sosfilt`: feeding
     any partition of a signal through :meth:`push` yields, concatenated,
     the bitwise-identical output of one whole-signal ``sosfilt`` call —
     including the first-chunk transient, because a fresh filter starts
@@ -75,14 +72,14 @@ class StreamingSOSFilter:
     """
 
     def __init__(self, sos: np.ndarray, batch_shape: tuple[int, ...] = ()) -> None:
-        self._sections = normalized_sections(sos)
+        self._sos = normalized_sections(sos)
         self._batch_shape = tuple(batch_shape)
         self.reset()
 
     def reset(self) -> None:
         """Return to the zero-initial-condition state (a fresh filter)."""
-        self._s1 = [np.zeros(self._batch_shape) for _ in self._sections]
-        self._s2 = [np.zeros(self._batch_shape) for _ in self._sections]
+        # scipy's layout: (sections, *batch_shape, 2) delay registers.
+        self._zi = np.zeros((len(self._sos), *self._batch_shape, 2))
         self._samples = 0
 
     @property
@@ -96,20 +93,10 @@ class StreamingSOSFilter:
             raise ShapeError(
                 f"chunk batch shape {chunk.shape[:-1]} != {self._batch_shape}"
             )
-        out = chunk.copy()
-        num = out.shape[-1]
-        for j, (b0, b1, b2, a1, a2) in enumerate(self._sections):
-            s1 = self._s1[j]
-            s2 = self._s2[j]
-            for i in range(num):
-                x = out[..., i]
-                y = b0 * x + s1
-                s1 = b1 * x - a1 * y + s2
-                s2 = b2 * x - a2 * y
-                out[..., i] = y
-            self._s1[j] = s1
-            self._s2[j] = s2
-        self._samples += num
+        if chunk.shape[-1] == 0:
+            return chunk.copy()  # scipy rejects an empty time axis
+        out, self._zi = scipy_signal.sosfilt(self._sos, chunk, axis=-1, zi=self._zi)
+        self._samples += chunk.shape[-1]
         return out
 
 
@@ -267,10 +254,7 @@ class StreamingOnsetDetector:
         # window), matching the batch window_std reduction layout.
         while (len(self._metrics) + 1) * window <= self._head:
             s = (len(self._metrics) * window) % self._cap
-            stds = np.empty(3)
-            for axis in range(3):
-                stds[axis] = self._ring[axis, s : s + window].std()
-            self._metrics.append(stds.max())
+            self._metrics.append(self._ring[:, s : s + window].std(axis=1).max())
         sustain = cfg.onset_sustain_windows
         while self._candidate < len(self._metrics):
             idx = self._candidate
@@ -314,48 +298,6 @@ class StreamingOnsetDetector:
             return coarse
         region = self._gather(lo, hi + window - lo)
         return refine_from_region(region, lo, hi, window)
-
-
-class StreamingMinMaxNormalizer:
-    """Running per-lane extrema; Eq. 7 applied with them at the end.
-
-    min/max are exact and associative, so the extrema accumulated over
-    any chunking equal the batch ``min``/``max`` bit-for-bit, and
-    :meth:`normalize` reproduces
-    :func:`repro.dsp.normalize.min_max_normalize` on the concatenated
-    signal exactly (including the constant-lane → all-zeros rule).
-    """
-
-    def __init__(self) -> None:
-        self._lo: np.ndarray | None = None
-        self._hi: np.ndarray | None = None
-
-    @property
-    def primed(self) -> bool:
-        return self._lo is not None
-
-    def push(self, chunk: np.ndarray) -> None:
-        """Fold one ``(..., k)`` chunk into the running extrema."""
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.shape[-1] == 0:
-            return
-        lo = chunk.min(axis=-1, keepdims=True)
-        hi = chunk.max(axis=-1, keepdims=True)
-        if self._lo is None:
-            self._lo, self._hi = lo, hi
-        else:
-            self._lo = np.minimum(self._lo, lo)
-            self._hi = np.maximum(self._hi, hi)
-
-    def normalize(self, segment: np.ndarray) -> np.ndarray:
-        """Eq. 7 over ``segment`` using the accumulated extrema."""
-        if self._lo is None:
-            raise StreamStateError("no samples pushed yet")
-        segment = np.asarray(segment, dtype=np.float64)
-        span = self._hi - self._lo
-        safe = np.where(span == 0.0, 1.0, span)
-        out = (segment - self._lo) / safe
-        return np.where(span == 0.0, 0.0, out)
 
 
 class SegmentAssembler:

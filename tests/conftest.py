@@ -30,6 +30,8 @@ from repro.datasets.standard import hired_spec, user_spec
 # load — and derandomizes so a red run is reproducible from the log
 # alone.  Local runs keep random exploration but drop the deadline
 # too: the heavy DSP examples routinely exceed the 200 ms default.
+# CI additionally reruns the property suites with CI cleared (so the
+# "local" profile) and ``--hypothesis-seed`` set to the run number.
 settings.register_profile(
     "ci",
     deadline=None,

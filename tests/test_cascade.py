@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import obs
@@ -118,7 +118,7 @@ class TestCascadeConfig:
 
 
 class TestExitPolicy:
-    def test_band_routing_with_inclusive_edges(self):
+    def test_band_routing_closed_accept_open_reject_edge(self):
         policy = ExitPolicy(
             CascadeConfig(enabled=True, t_accept=1.0, t_reject=2.0)
         )
@@ -127,7 +127,7 @@ class TestExitPolicy:
             ROUTE_ACCEPT,
             ROUTE_ACCEPT,
             ROUTE_BORDERLINE,
-            ROUTE_REJECT,
+            ROUTE_BORDERLINE,
             ROUTE_REJECT,
         ]
 
@@ -182,6 +182,9 @@ class TestExitMonotonicity:
         widen_accept=st.floats(0.0, 5.0, allow_nan=False),
         widen_reject=st.floats(0.0, 5.0, allow_nan=False),
     )
+    # A score on both edges of a degenerate band, accept edge widened:
+    # a closed reject edge turned the narrow band's accept into a reject.
+    @example(scores=[1.0], t_accept=1.0, gap=0.0, widen_accept=1.0, widen_reject=0.0)
     def test_widening_only_moves_probes_into_stage2(
         self, scores, t_accept, gap, widen_accept, widen_reject
     ):

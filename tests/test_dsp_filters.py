@@ -127,7 +127,7 @@ class TestZeroInitialConditionContract:
         x = rng.normal(size=30)
         sections = normalized_sections(sos)
         expected = x[0]
-        for b0, _, _, _, _ in sections:
+        for b0, *_ in sections:
             expected = b0 * expected
         assert sosfilt(sos, x)[0] == expected
 
@@ -167,7 +167,7 @@ class TestZeroInitialConditionContract:
         scaled = sos * 3.0  # a0 = 3 everywhere; same transfer function
         plain = normalized_sections(sos)
         rescaled = normalized_sections(scaled)
-        for (b0, b1, b2, a1, a2), (c0, c1, c2, d1, d2) in zip(plain, rescaled):
+        for (b0, b1, b2, _, a1, a2), (c0, c1, c2, _, d1, d2) in zip(plain, rescaled):
             np.testing.assert_allclose(
                 [c0, c1, c2, d1, d2], [b0, b1, b2, a1, a2], rtol=1e-12
             )
@@ -176,6 +176,71 @@ class TestZeroInitialConditionContract:
         # a0 == 1 (the design_* output) must not be touched at all —
         # even a divide-by-1.0 could flip the last ulp.
         sos = design_highpass(4, 20.0, FS)
-        for row, (b0, b1, b2, a1, a2) in zip(sos, normalized_sections(sos)):
+        for row, (b0, b1, b2, _, a1, a2) in zip(sos, normalized_sections(sos)):
             assert (b0, b1, b2) == (row[0], row[1], row[2])
             assert (a1, a2) == (row[4], row[5])
+
+
+class TestUnnormalisedSections:
+    """Sections with ``a0 != 1`` go through ``normalized_sections``
+    before scipy's recursion, which rejects any other ``a0``."""
+
+    # Doubling a row and dividing it back are both exact in binary, so
+    # the normalised rows equal the designed ones bit for bit.
+    SCALES = np.array([[2.0], [4.0]])
+
+    def test_batch_filter_equals_prenormalised(self, rng):
+        sos = design_highpass(4, 20.0, FS)
+        scaled = sos * self.SCALES
+        x = rng.normal(size=(3, 200))
+        out = sosfilt(scaled, x)
+        assert np.array_equal(out, sosfilt(normalized_sections(scaled), x))
+        assert np.array_equal(out, sosfilt(sos, x))
+
+    def test_streaming_filter_equals_prenormalised(self, rng):
+        from repro.stream import StreamingSOSFilter
+
+        sos = design_highpass(4, 20.0, FS)
+        scaled = sos * self.SCALES
+        x = rng.normal(size=(3, 200))
+        stream = StreamingSOSFilter(scaled, batch_shape=(3,))
+        out = np.concatenate(
+            [stream.push(x[:, a : a + 35]) for a in range(0, 200, 35)], axis=-1
+        )
+        prenormalised = StreamingSOSFilter(
+            normalized_sections(scaled), batch_shape=(3,)
+        )
+        assert np.array_equal(out, prenormalised.push(x))
+        assert np.array_equal(out, sosfilt(sos, x))
+
+    def test_near_one_a0_is_not_divided(self):
+        # Within 1e-12 of one, a0 is taken as exactly 1.0 and the other
+        # coefficients pass through untouched.
+        sos = design_highpass(4, 20.0, FS)
+        nudged = sos.copy()
+        nudged[:, 3] += 1e-14
+        sections = normalized_sections(nudged)
+        assert np.array_equal(sections, sos)
+
+
+def _biquad_reference(sos, x):
+    """Per-sample direct-form-II-transposed cascade from rest."""
+    out = np.array(x, dtype=np.float64)
+    for b0, b1, b2, _, a1, a2 in normalized_sections(sos):
+        s1 = np.zeros(out.shape[:-1])
+        s2 = np.zeros(out.shape[:-1])
+        for i in range(out.shape[-1]):
+            x_i = out[..., i]
+            y = b0 * x_i + s1
+            s1 = b1 * x_i - a1 * y + s2
+            s2 = b2 * x_i - a2 * y
+            out[..., i] = y
+    return out
+
+
+class TestReferenceRecursion:
+    @pytest.mark.parametrize("shape", [(1,), (210,), (6, 210), (4, 3, 100)])
+    def test_sosfilt_equals_per_sample_loop_bitwise(self, rng, shape):
+        sos = design_highpass(4, 20.0, FS)
+        x = rng.normal(size=shape) * 1000.0
+        assert np.array_equal(sosfilt(sos, x), _biquad_reference(sos, x))

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.config import PreprocessConfig
 from repro.dsp.detection import (
     detect_onset,
     has_vibration,
     onset_metric,
+    refine_from_region,
+    refinement_bounds,
     segment_after_onset,
 )
 from repro.dsp.windows import frame, window_start_indices, window_std
@@ -117,6 +121,51 @@ class TestOnsetDetection:
     def test_onset_metric_shape(self):
         metric = onset_metric(np.zeros((50, 6)), window=10)
         assert metric.shape == (5,)
+
+
+def _refine_per_start(region, lo, hi, window):
+    """Reference refinement: one std reduction per stride-1 start."""
+    rolling = np.empty(hi - lo + 1)
+    for offset, start in enumerate(range(lo, hi + 1)):
+        chunk = region[start - lo : start - lo + window]
+        rolling[offset] = chunk.std(axis=0).max()
+    half = 0.5 * float(rolling.max())
+    return lo + int(np.argmax(rolling >= half))
+
+
+class TestRefinementReduction:
+    """The single sliding-window reduction equals the per-start loop
+    bitwise, in both layouts the detectors hand it."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        window=st.integers(2, 20),
+        length=st.integers(0, 300),
+        position=st.floats(0.0, 1.0),
+        log_scale=st.floats(-3.0, 5.0),
+    )
+    def test_equals_per_start_loop(self, seed, window, length, position, log_scale):
+        rng = np.random.default_rng(seed)
+        n = 3 * window + length
+        # Quiet noise, then a louder attack from a random sample on.
+        signal = rng.normal(size=(3, n)) * 10.0**log_scale
+        attack = int(rng.integers(0, n))
+        signal[:, attack:] *= rng.uniform(1.0, 50.0)
+        coarse = int(position * (n - window))
+        lo, hi = refinement_bounds(n, coarse, window)
+        if hi <= lo:
+            return
+        # Batch layout: a row slice of the (n, 3) detection signal,
+        # which is filtered axis-major and transposed back.
+        batch = np.ascontiguousarray(signal).T[lo : hi + window]
+        # Streaming layout: the ring gather copies into a fresh
+        # (3, length) array and hands out its transpose.
+        ring = np.empty((3, hi + window - lo))
+        ring[:] = signal[:, lo : hi + window]
+        for region in (batch, ring.T):
+            assert refine_from_region(region, lo, hi, window) == _refine_per_start(
+                region, lo, hi, window
+            )
 
 
 class TestSegmentation:

@@ -17,12 +17,10 @@ from hypothesis import strategies as st
 from repro.config import PreprocessConfig, StreamConfig
 from repro.dsp.detection import detect_onset
 from repro.dsp.filters import design_highpass, normalized_sections, sosfilt
-from repro.dsp.normalize import min_max_normalize
 from repro.dsp.pipeline import Preprocessor
 from repro.errors import OnsetNotFoundError
 from repro.stream import (
     SegmentAssembler,
-    StreamingMinMaxNormalizer,
     StreamingOnsetDetector,
     StreamingSOSFilter,
     StreamSession,
@@ -103,7 +101,7 @@ class TestStreamingFilter:
         # a second normalisation pass would divide twice.
         sos = design_highpass(4, 20.0, 350.0) * 2.0
         sections = normalized_sections(sos)
-        assert all(len(s) == 5 for s in sections)
+        assert sections.shape == (len(sos), 6) and (sections[:, 3] == 1.0).all()
         rng = np.random.default_rng(5)
         signal = rng.normal(size=50)
         stream = StreamingSOSFilter(sos)
@@ -175,27 +173,6 @@ class TestStreamingOnsetDetector:
         # Further pushes and finish() keep reporting the same onset.
         assert detector.push(recording[:5]) == onset
         assert detector.finish() == onset
-
-
-class TestStreamingNormalizer:
-    @given(chunk_plans, st.integers(0, 2**32 - 1))
-    @settings(max_examples=40)
-    def test_chunked_extrema_equal_batch(self, plan, seed):
-        rng = np.random.default_rng(seed)
-        segment = rng.normal(size=(6, int(rng.integers(2, 200))))
-        batch = min_max_normalize(segment, axis=-1)
-        norm = StreamingMinMaxNormalizer()
-        for a, b in cuts(segment.shape[1], plan):
-            norm.push(segment[:, a:b])
-        assert np.array_equal(norm.normalize(segment), batch)
-
-    def test_constant_axis_maps_to_zero(self):
-        segment = np.vstack([np.full(30, 7.0), np.arange(30.0)])
-        norm = StreamingMinMaxNormalizer()
-        norm.push(segment)
-        out = norm.normalize(segment)
-        assert np.array_equal(out, min_max_normalize(segment, axis=-1))
-        assert np.all(out[0] == 0.0)
 
 
 class TestSegmentAssembler:
