@@ -5,9 +5,12 @@ exactly what the two cascade stages need:
 
 * **prescreen** — the first ``rank`` columns of the user's Gaussian
   matrix (``prescreen_dtype``), the numerator vector
-  ``w = G @ t_hat`` (float64) and the tail energy
+  ``w = G @ t_hat`` (float64), the tail direction
+  ``v = G[:, rank:] @ t_hat[rank:] / ||t_hat[rank:]||`` (float64; zero
+  when the template's tail is) and the head and tail energies
+  ``H = sum_{j < rank} ||G[:, j]||^2`` and
   ``R = sum_{j >= rank} ||G[:, j]||^2``.  Together these yield a sound
-  lower bound on the user's cosine distance from one thin gemm — see
+  lower bound on the user's cosine distance from thin gemms — see
   :mod:`repro.core.gallery.sharded` for the bound.
 * **rerank** — the full matrix *source* (array reference or lazy
   provider, never a copy) and the sealed template, so the exact stage
@@ -59,6 +62,9 @@ class GalleryShard:
         )
         # (in, capacity): slot u's numerator vector w_u = G_u @ t_hat_u.
         self._numer = np.zeros((in_dim, capacity))
+        # (in, capacity): slot u's tail direction v_u (see write_slot).
+        self._tail_dir = np.zeros((in_dim, capacity))
+        self._head = np.zeros(capacity)
         self._tail = np.zeros(capacity)
         self.user_ids: list[str | None] = [None] * capacity
         self.seq = np.zeros(capacity, dtype=np.int64)
@@ -74,6 +80,8 @@ class GalleryShard:
         user_ids: list[str | None],
         prescreen: np.ndarray,
         numer: np.ndarray,
+        tail_dir: np.ndarray,
+        head: np.ndarray,
         tail: np.ndarray,
         seq: np.ndarray,
         alive: np.ndarray,
@@ -103,8 +111,15 @@ class GalleryShard:
                 f"adopted prescreen must be ({in_dim}, {count * shard.rank}),"
                 f" got {prescreen.shape}"
             )
+        if numer.shape != (in_dim, count) or tail_dir.shape != (in_dim, count):
+            raise ShapeError(
+                f"adopted numerator and tail-direction blocks must be"
+                f" ({in_dim}, {count}), got {numer.shape} and {tail_dir.shape}"
+            )
         shard._prescreen = prescreen
         shard._numer = numer
+        shard._tail_dir = tail_dir
+        shard._head = head
         shard._tail = tail
         shard.user_ids = list(user_ids)
         shard.seq = seq
@@ -164,9 +179,20 @@ class GalleryShard:
         unit = flat / norm if norm else flat
         rank = self.rank
         self._numer[:, slot] = resolved @ unit
-        self._prescreen[:, slot * rank : (slot + 1) * rank] = resolved[:, :rank]
+        head = resolved[:, :rank]
+        self._prescreen[:, slot * rank : (slot + 1) * rank] = head
+        self._head[slot] = float(np.einsum("ij,ij->", head, head))
         tail = resolved[:, rank:]
         self._tail[slot] = float(np.einsum("ij,ij->", tail, tail))
+        # x @ v_u is the tail of x @ G projected on the template's unit
+        # tail direction; an empty or zero tail leaves v_u = 0, which
+        # reduces the prescreen bound to its head-only form.
+        tail_unit = unit[rank:]
+        tail_norm = float(np.linalg.norm(tail_unit))
+        if tail_norm:
+            self._tail_dir[:, slot] = tail @ (tail_unit / tail_norm)
+        else:
+            self._tail_dir[:, slot] = 0.0
         self.user_ids[slot] = user_id
         self.seq[slot] = seq
         self.alive[slot] = True
@@ -190,7 +216,9 @@ class GalleryShard:
         rank = self.rank
         self.alive[slot] = False
         self._numer[:, slot] = 0.0
+        self._tail_dir[:, slot] = 0.0
         self._prescreen[:, slot * rank : (slot + 1) * rank] = 0.0
+        self._head[slot] = 0.0
         self._tail[slot] = 0.0
         self.user_ids[slot] = None
         self._matrices[slot] = None
@@ -222,9 +250,16 @@ class GalleryShard:
         """``(in, count)`` numerator matrix over the occupied slots."""
         return self._numer[:, : self.count]
 
+    def tail_dir_block(self) -> np.ndarray:
+        """``(in, count)`` tail directions over the occupied slots."""
+        return self._tail_dir[:, : self.count]
+
     def prescreen_block(self) -> np.ndarray:
         """``(in, count * rank)`` prescreen columns over occupied slots."""
         return self._prescreen[:, : self.count * self.rank]
+
+    def head_block(self) -> np.ndarray:
+        return self._head[: self.count]
 
     def tail_block(self) -> np.ndarray:
         return self._tail[: self.count]
@@ -253,6 +288,8 @@ class GalleryShard:
         return (
             self._prescreen.nbytes
             + self._numer.nbytes
+            + self._tail_dir.nbytes
+            + self._head.nbytes
             + self._tail.nbytes
             + self.seq.nbytes
             + self.alive.nbytes

@@ -25,21 +25,34 @@ enrollment change forced an O(U) rebuild (1.6 s at U=1000 in
 matrix ``G`` and unit template ``t_hat``, the loop scores
 ``d = 1 - clip(cos)`` with ``cos = (x G) . t_hat / ||x G||``.  The
 numerator equals ``x . w`` with ``w = G t_hat`` precomputed — exact
-from one thin gemm.  For the denominator, with ``p`` the norm of ``x``
-projected through the first ``rank`` columns and
+from one thin gemm.  For the denominator, split ``x G`` into its head
+(the first ``rank`` columns, norm ``p``) and its tail, and let
+``c = x . v`` with the precomputed unit tail direction
+``v = G[:, rank:] t_tail / ||t_tail||`` (``t_tail = t_hat[rank:]``;
+``v = 0`` when the tail is empty or zero), so that ``c`` is the tail
+of ``x G`` projected on a unit vector.  With
 ``R = sum_{j >= rank} ||G[:, j]||^2``:
 
-* ``||x G||^2 >= p^2`` (dropping the tail only shrinks the sum), and
+* ``||x G||^2 >= p^2 + c^2`` — head and tail are orthogonal parts of
+  ``x G`` and ``||(x G)_tail|| >= |c|`` by Cauchy-Schwarz, and
 * ``||x G||^2 <= p^2 + ||x||^2 R`` (Cauchy-Schwarz per tail column).
 
-So ``cos <= num / p`` when ``num >= 0`` and
+So ``cos <= num / sqrt(p^2 + c^2)`` when ``num >= 0`` and
 ``cos <= num / sqrt(p^2 + ||x||^2 R)`` when ``num < 0`` — an upper
-bound on the cosine, hence a lower bound on the distance.  Slack
-factors absorb float32 prescreen rounding and gemm re-association, so
-the bound survives finite precision.  Any user whose distance lower
-bound beats the best exact distance found so far joins the rerank
-pool; one expansion round suffices (exact distances only shrink the
-qualifying set), so **the pool provably contains the argmin** — and
+bound on the cosine, hence a lower bound on the distance.  The ``c``
+term is what keeps the bound tight on square deployed matrices: the
+template's energy lives mostly in the tail, so for any user with a
+large numerator ``c`` carries most of ``num``, and the positive
+branch's overestimate no longer grows as ``sqrt(out_dim / rank)``.  Slack
+terms absorb prescreen rounding and gemm re-association, so the bound
+survives finite precision: the rounding of ``p`` is bounded by
+``(in + 2) eps ||x|| sqrt(H)`` with ``eps`` the prescreen dtype's and
+``H = sum_{j < rank} ||G[:, j]||^2``, which stays sound even for
+ill-conditioned matrices, where ``||x G||`` is tiny next to ``||x||``.
+Any user whose distance lower bound beats the best exact distance
+found so far joins the rerank pool; one expansion round suffices
+(exact distances only shrink the qualifying set), so **the pool
+provably contains the argmin** — and
 every tie, since a tied user's lower bound also qualifies.  Ties
 resolve on the global enrollment sequence number, matching the
 first-wins semantics of the per-user dict loop.  The cascade therefore
@@ -58,6 +71,7 @@ inner lock makes the gallery safe for direct multi-threaded use too.
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,14 +85,48 @@ from repro.obs import runtime as obs
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 from repro.serve.locks import RWLock
 
-#: Relative slack on the prescreen denominators: float32 projection of
-#: one probe accumulates at most ~in * 2^-24 relative error, orders of
-#: magnitude under 1e-4; the bound stays sound with room to spare.
+#: Relative slack on the prescreen denominators: the prescreen dtype's
+#: sum of ``rank`` squares and its square root add at most
+#: ~rank * 2^-24 relative error to ``p``, orders of magnitude under
+#: 1e-4.  The rest of the prescreen's rounding is absolute, not
+#: relative to ``p``, and the score table carries it: each projected
+#: entry is off by at most ``gamma_(in+2) sum_i |x_i| |G_ij|`` (probe
+#: and matrix cast to the prescreen dtype, then an ``in``-term dot
+#: product), so ``p`` is off by at most ``(in + 2) eps ||x|| sqrt(H)``
+#: (``head_error`` times ``||x||``); underflow into subnormals adds at
+#: most ``sqrt(rank * tiny)`` from the squares and ``sqrt(rank) in tiny``
+#: from the products, under ``head_floor = 2 sqrt(rank * tiny)`` for
+#: any ``in < 2^74``.
 _DENOM_SLACK = 1e-4
 #: Relative + absolute slack on the cosine upper bound, absorbing
 #: float64 gemm re-association in the numerator pass.
 _UB_REL_SLACK = 1e-6
 _UB_ABS_SLACK = 1e-9
+#: Relative + absolute slack on the tail term ``|c| = |x . v|`` of the
+#: denominator lower bound.  Both float64 sources of error are absolute:
+#: the dot product re-associates to within ``gamma_in ||x|| ||v||`` and
+#: building ``v`` to within ``gamma_(out-rank) ||G_tail||_F`` per unit of
+#: ``||x||``, where ``gamma_n ~ n * 2^-53`` (1.1e-13 at n = 1024) and
+#: ``||v|| <= ||G_tail||_F = sqrt(R)``.  The absolute term is therefore
+#: scaled by ``||x|| sqrt(R)`` (not ``||v||``, which can vanish while
+#: the build error does not) and sits four orders of magnitude above
+#: both.  The relative term covers the rounding of ``hypot`` and of the
+#: exact stage's own norm where ``p`` is zero and ``_DENOM_SLACK`` does
+#: not apply.
+_TAIL_REL_SLACK = 1e-6
+_TAIL_ABS_SLACK = 1e-9
+
+
+class _ScoreTable(NamedTuple):
+    """Per-slot scoring state concatenated across shards."""
+
+    shards: list[GalleryShard]
+    slots: list[tuple[GalleryShard, int]]  # column -> (shard, slot)
+    alive: np.ndarray
+    seqs: np.ndarray
+    head_error: np.ndarray  # prescreen rounding of p per unit of ||x||
+    head_floor: float  # prescreen underflow of p
+    tails: np.ndarray  # tail energies R
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,9 +154,9 @@ class ShardedGallery:
         # update latency must stay O(1) in U.
         self._alive_count = 0
         self._tombstone_count = 0
-        # Concatenated scoring table ((shard, slot) map, alive/seq/tail
-        # arrays), rebuilt lazily after any applied mutation.
-        self._score_table: tuple | None = None
+        # Concatenated scoring table, rebuilt lazily after any applied
+        # mutation.
+        self._score_table: _ScoreTable | None = None
         self.in_dim: int | None = None
         self.out_dim: int | None = None
         self._screen_pool = None
@@ -305,9 +353,9 @@ class ShardedGallery:
         """Snapshot the resident scoring state as flat picklable parts.
 
         Returns ``(arrays, meta)``: a dict of contiguous numpy arrays
-        (per-shard prescreen/numerator/tail/seq/alive blocks plus the
-        stacked resolved matrices and templates the rerank stage needs)
-        and a plain-dict ``meta`` describing shapes, user ids and
+        (per-shard prescreen, numerator, tail-direction, head, tail, seq
+        and alive blocks plus the stacked resolved matrices and
+        templates the rerank stage needs) and a plain-dict ``meta`` describing shapes, user ids and
         counters.  :meth:`from_epoch` rebuilds a scoring-equivalent
         gallery from them — the pair is the serialization seam the
         multi-process pool publishes through shared memory
@@ -331,6 +379,8 @@ class ShardedGallery:
                 key = f"shard{len(shards_meta)}"
                 arrays[f"{key}.prescreen"] = shard.prescreen_block()
                 arrays[f"{key}.numer"] = shard.numer_block()
+                arrays[f"{key}.tail_dir"] = shard.tail_dir_block()
+                arrays[f"{key}.head"] = shard.head_block()
                 arrays[f"{key}.tail"] = shard.tail_block()
                 arrays[f"{key}.seq"] = shard.seq_block()
                 arrays[f"{key}.alive"] = shard.alive_block()
@@ -383,6 +433,8 @@ class ShardedGallery:
                 user_ids=shard_meta["user_ids"],
                 prescreen=arrays[f"{key}.prescreen"],
                 numer=arrays[f"{key}.numer"],
+                tail_dir=arrays[f"{key}.tail_dir"],
+                head=arrays[f"{key}.head"],
                 tail=arrays[f"{key}.tail"],
                 seq=arrays[f"{key}.seq"],
                 alive=alive,
@@ -433,24 +485,22 @@ class ShardedGallery:
 
     def _screen_shard(
         self, shard: GalleryShard, probes: np.ndarray, probes_ps: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One shard's numerator and partial-norm blocks, ``(B, count)``."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One shard's numerator, partial-norm and tail blocks, ``(B, count)``."""
         numerators = probes @ shard.numer_block()
+        tail_cos = probes @ shard.tail_dir_block()
         projected = probes_ps @ shard.prescreen_block()
         batch = probes.shape[0]
-        # Squared partial norms accumulated in the prescreen dtype; the
-        # extra float32 rounding (~rank * 2^-24 relative) is orders of
-        # magnitude inside the _DENOM_SLACK the bound already carries.
-        partial_sq = np.einsum(
-            "bcr,bcr->bc",
-            projected.reshape(batch, shard.count, shard.rank),
-            projected.reshape(batch, shard.count, shard.rank),
-        )
-        return numerators, np.sqrt(partial_sq.astype(np.float64))
+        # Squared partial norms accumulated in the prescreen dtype: its
+        # relative rounding is inside _DENOM_SLACK, its underflow inside
+        # the score table's head_floor.
+        projected = projected.reshape(batch, shard.count, shard.rank)
+        partial_sq = np.einsum("bcr,bcr->bc", projected, projected)
+        return numerators, np.sqrt(partial_sq.astype(np.float64)), tail_cos
 
     def _screen(
         self, probes: np.ndarray, shards: list[GalleryShard]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         probes_ps = probes.astype(self.config.prescreen_dtype, copy=False)
         if self.config.score_threads > 1 and len(shards) > 1:
             if self._screen_pool is None:
@@ -470,11 +520,12 @@ class ShardedGallery:
             blocks = [
                 self._screen_shard(shard, probes, probes_ps) for shard in shards
             ]
-        numerators = np.concatenate([block[0] for block in blocks], axis=1)
-        partials = np.concatenate([block[1] for block in blocks], axis=1)
-        return numerators, partials
+        return tuple(
+            np.concatenate([block[part] for block in blocks], axis=1)
+            for part in range(3)
+        )
 
-    def _score_state(self) -> tuple:
+    def _score_state(self) -> _ScoreTable:
         """The concatenated slot table, cached between mutations.
 
         Built under the read lock (mutations are excluded, so a
@@ -491,32 +542,51 @@ class ShardedGallery:
             if shards:
                 alive = np.concatenate([s.alive_block() for s in shards])
                 seqs = np.concatenate([s.seq_block() for s in shards])
+                heads = np.concatenate([s.head_block() for s in shards])
                 tails = np.concatenate([s.tail_block() for s in shards])
             else:
                 alive = np.zeros(0, dtype=bool)
                 seqs = np.zeros(0, dtype=np.int64)
-                tails = np.zeros(0)
-            table = (shards, slots, alive, seqs, tails)
+                heads = tails = np.zeros(0)
+            # The prescreen's absolute rounding of p (see _DENOM_SLACK)
+            # at the coarsest dtype in play: per slot and unit of ||x||,
+            # plus an underflow floor.
+            dtypes = [np.dtype(self.config.prescreen_dtype)]
+            dtypes += [s.prescreen_dtype for s in shards]
+            finfo = np.finfo(min(dtypes, key=lambda dtype: dtype.itemsize))
+            rank = max((s.rank for s in shards), default=0)
+            table = _ScoreTable(
+                shards=shards,
+                slots=slots,
+                alive=alive,
+                seqs=seqs,
+                head_error=((self.in_dim or 0) + 2) * finfo.eps * np.sqrt(heads),
+                head_floor=2.0 * np.sqrt(rank * finfo.smallest_subnormal),
+                tails=tails,
+            )
             self._score_table = table
         return table
 
-    def _cascade(self, embeddings: np.ndarray) -> list[GalleryMatch | None]:
-        probes = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        if self._alive_count == 0:
-            return [None] * probes.shape[0]
-        if probes.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"expected (B, {self.in_dim}) embeddings, got {probes.shape}"
-            )
-        shards, slots, alive, seqs, tails = self._score_state()
-        alive_total = self._alive_count
+    def _lower_distances(self, probes: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """Sound lower bounds on every slot's loop distance, ``(B, slots)``.
 
+        Columns follow the score table's slot order; tombstoned columns
+        are ``inf`` so they never enter the rerank pool.
+        """
+        table = self._score_state()
         with obs.span("gallery_prescreen"):
-            numerators, partials = self._screen(probes, shards)
-        norms = np.linalg.norm(probes, axis=1)
-        denom_lb = partials * (1.0 - _DENOM_SLACK)
+            numerators, partials, tail_cos = self._screen(probes, table.shards)
+        scale = norms[:, None]
+        head_slack = scale * table.head_error + table.head_floor
+        head_lb = np.maximum(partials * (1.0 - _DENOM_SLACK) - head_slack, 0.0)
+        tail_lb = np.maximum(
+            np.abs(tail_cos) * (1.0 - _TAIL_REL_SLACK)
+            - _TAIL_ABS_SLACK * scale * np.sqrt(table.tails),
+            0.0,
+        )
+        denom_lb = np.hypot(head_lb, tail_lb)
         denom_ub = np.sqrt(
-            np.square(partials) + np.square(norms)[:, None] * tails[None, :]
+            np.square(partials + head_slack) + np.square(scale) * table.tails
         ) * (1.0 + _DENOM_SLACK)
         with np.errstate(divide="ignore", invalid="ignore"):
             upper = np.where(
@@ -528,9 +598,23 @@ class ShardedGallery:
             upper + np.abs(upper) * _UB_REL_SLACK + _UB_ABS_SLACK, 1.0
         )
         lower_dist = 1.0 - upper
-        lower_dist[:, ~alive] = np.inf
+        lower_dist[:, ~table.alive] = np.inf
+        return lower_dist
 
-        top_k = min(self.config.top_k, alive_total)
+    def _cascade(self, embeddings: np.ndarray) -> list[GalleryMatch | None]:
+        probes = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+        if self._alive_count == 0:
+            return [None] * probes.shape[0]
+        if probes.shape[1] != self.in_dim:
+            raise ShapeError(
+                f"expected (B, {self.in_dim}) embeddings, got {probes.shape}"
+            )
+        table = self._score_state()
+        slots, alive, seqs = table.slots, table.alive, table.seqs
+        norms = np.linalg.norm(probes, axis=1)
+        lower_dist = self._lower_distances(probes, norms)
+
+        top_k = min(self.config.top_k, self._alive_count)
         matrix_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         results: list[GalleryMatch | None] = []
         with obs.span("gallery_rerank"):

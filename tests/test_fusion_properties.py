@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from repro.core.fusion import (
@@ -162,6 +162,38 @@ class TestMultiModalProperties:
         ds[index] = ds[index] + bump
         after = fuse_score_level(_modal_results(ds, ts)).distance
         assert after > before
+
+    @given(
+        st.lists(st.tuples(distances, thresholds), min_size=1, max_size=4),
+        st.lists(weights_st, min_size=4, max_size=4),
+        st.integers(0, 3),
+        st.floats(0.0, 2.0),
+    )
+    # Fused score exactly 1.0 (accepts), then widened by nothing, by the
+    # smallest step and by a lot.
+    @example([(0.5, 0.5)], [1.0] * 4, 0, 0.0)
+    @example([(1.0, 0.5), (0.0, 0.5)], [1.0] * 4, 1, 5e-324)
+    @example([(1.9, 1.9), (0.05, 0.05)], [50.0, 0.01, 1.0, 1.0], 0, 2.0)
+    def test_score_level_widening_never_flips(self, pairs, ws, index, widen):
+        """Raising any modality's threshold never rejects a fused accept."""
+        ds, ts = map(list, zip(*pairs))
+        weights = ws[: len(ds)]
+        before = fuse_score_level(_modal_results(ds, ts), weights)
+        ts[index % len(ts)] += widen
+        after = fuse_score_level(_modal_results(ds, ts), weights)
+        assert after.distance <= before.distance
+        if before.accepted:
+            assert after.accepted
+
+    @given(st.lists(st.tuples(thresholds, weights_st), min_size=1, max_size=4))
+    @example([(0.5485, 1.0)])
+    @example([(0.05, 0.01), (1.9, 50.0), (1 / 3, 3.0)])
+    def test_score_level_fused_one_accepts(self, pairs):
+        """Every modality at its own threshold fuses to exactly 1.0: accept."""
+        ts, ws = map(list, zip(*pairs))
+        fused = fuse_score_level(_modal_results(ts, ts), ws)
+        assert fused.distance == 1.0
+        assert fused.accepted
 
     @given(st.lists(st.tuples(distances, thresholds), min_size=1, max_size=4))
     def test_and_at_most_or_accepts(self, pairs):

@@ -141,6 +141,7 @@ class TestGalleryShard:
         assert shard.tombstone_ratio() == pytest.approx(1 / 3)
         # Tombstoned scoring state is zeroed so it cannot leak into gemms.
         assert not shard.numer_block()[:, 1].any()
+        assert not shard.tail_dir_block()[:, 1].any()
         assert not shard.prescreen_block()[:, 4:8].any()
         with pytest.raises(ShapeError):
             shard.matrix_for(1)
@@ -159,6 +160,31 @@ class TestGalleryShard:
             shard.append("u", _matrix(0), np.zeros(OUT + 2), seq=0)
         with pytest.raises(ShapeError):
             GalleryShard(capacity=0, in_dim=IN, out_dim=OUT, rank=4)
+
+    def test_tail_direction_column(self):
+        shard = GalleryShard(capacity=3, in_dim=IN, out_dim=OUT, rank=4)
+        head_only = _template(1)
+        head_only[4:] = 0.0
+        shard.append("u0", _matrix(0), _template(0), seq=0)
+        shard.append("u1", _matrix(1), head_only, seq=1)
+        shard.append("u2", _matrix(2), np.zeros(OUT), seq=2)
+        tail = _template(0)[4:]
+        np.testing.assert_allclose(
+            shard.tail_dir_block()[:, 0],
+            _matrix(0)[:, 4:] @ (tail / np.linalg.norm(tail)),
+            rtol=1e-12,
+        )
+        # No tail energy in the template: no tail direction.
+        assert not shard.tail_dir_block()[:, 1:].any()
+        full_rank = GalleryShard(capacity=1, in_dim=IN, out_dim=OUT, rank=OUT)
+        full_rank.append("u0", _matrix(0), _template(0), seq=0)
+        assert not full_rank.tail_dir_block().any()
+        # Compaction rebuilds the block; nbytes counts it.
+        shard.kill_slot(0)
+        np.testing.assert_array_equal(
+            shard.compacted().tail_dir_block(), shard.tail_dir_block()[:, 1:]
+        )
+        assert shard.nbytes() >= shard._tail_dir.nbytes + shard._numer.nbytes
 
     def test_rank_capped_at_out_dim(self):
         shard = GalleryShard(capacity=2, in_dim=IN, out_dim=OUT, rank=99)

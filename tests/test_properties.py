@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.core.similarity import cosine_distance, pairwise_cosine_distance
+from repro.core.similarity import accept, cosine_distance, pairwise_cosine_distance
 from repro.dsp.filters import design_highpass, frequency_response, sosfilt
 from repro.dsp.gradients import resample_to_length, split_directions
 from repro.dsp.normalize import min_max_normalize
@@ -54,6 +54,21 @@ class TestSimilarityProperties:
         rng = np.random.default_rng(0)
         out = pairwise_cosine_distance(rng.normal(size=(n, 5)), rng.normal(size=(m, 5)))
         assert out.shape == (n, m)
+
+
+class TestThresholdAudit:
+    """Widening a decision threshold never flips a surviving accept."""
+
+    @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+    @example(0.5485, 0.5485, 0.0)  # distance == threshold, no widening
+    @example(0.0, 0.0, 0.0)
+    @example(2.0, 2.0, 0.0)
+    @example(0.5, 0.5, 5e-324)  # the smallest widening there is
+    @example(0.5485, 0.5484999999999999, 1e-16)
+    def test_accept_widening_never_flips(self, distance, threshold, widen):
+        assert accept(threshold, threshold)  # the boundary accepts
+        if accept(distance, threshold):
+            assert accept(distance, threshold + widen)
 
 
 class TestNormalizeProperties:

@@ -150,6 +150,53 @@ class TestEpochExport:
         finally:
             serve_shm.unlink(segment)
 
+    def test_from_epoch_keeps_the_rerank_pool(self):
+        # An adopted shard must score with the tail-direction bound, not
+        # silently fall back to the looser head-only one: the clone's
+        # exact-rerank pools equal its origin's, probe by probe.  The
+        # gallery is sized so the bound decides the pool (top_k=1 of 40).
+        from repro import obs
+        from repro.config import GalleryConfig
+        from repro.core.gallery.sharded import ShardedGallery
+
+        def pool_sizes(gallery, probes):
+            sizes = []
+            for probe in probes:
+                with obs.collecting() as registry:
+                    gallery.best_match(probe)
+                pools = registry.to_dict()["histograms"]["gallery_rerank_pool"]
+                sizes.append(pools["sum"])
+            return sizes
+
+        rng = np.random.default_rng(13)
+        dim, users = 64, 40
+        people = rng.normal(size=(users, 4)) @ rng.normal(size=(4, dim))
+        people += rng.normal(size=(users, dim))
+        origin = ShardedGallery(GalleryConfig(shard_size=16, top_k=1))
+        for user in range(users):
+            matrix = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, dim))
+            origin.upsert(f"u{user}", matrix, people[user] @ matrix)
+        origin.sync()
+        probes = people[:10] + 0.5 * rng.normal(size=(10, dim))
+        arrays, meta = origin.export_epoch()
+        segment, manifest = serve_shm.publish(arrays, "epoch")
+        try:
+            _, views = serve_shm.attach(manifest)
+            clone = ShardedGallery.from_epoch(origin.config, views, meta)
+            want = pool_sizes(origin, probes)
+            assert pool_sizes(clone, probes) == want
+            # The comparison has teeth: without the tail directions the
+            # same epoch reranks strictly more users.
+            head_only = dict(views)
+            for key in head_only:
+                if key.endswith(".tail_dir"):
+                    head_only[key] = np.zeros_like(head_only[key])
+            loose = ShardedGallery.from_epoch(origin.config, head_only, meta)
+            assert sum(pool_sizes(loose, probes)) > sum(want)
+            del views, clone, loose, head_only
+        finally:
+            serve_shm.unlink(segment)
+
     def test_row_matches_parent_transform(self, pool_system):
         system, user_id, _ = pool_system
         _, arrays, meta = system.export_epoch()
