@@ -20,7 +20,6 @@ Quickstart::
 """
 
 from repro.config import (
-    CascadeConfig,
     DEFAULT_CONFIG,
     DecisionConfig,
     ExtractorConfig,
@@ -34,9 +33,6 @@ from repro.config import (
     StreamConfig,
     TrainingConfig,
 )
-# repro.core must load before repro.cascade: core.system finishes the
-# cascade package's initialization itself (it imports repro.cascade while
-# cascade's modules only reach back into repro.core *submodules*).
 from repro.core import (
     BatchItemFailure,
     BatchOutcome,
@@ -46,12 +42,6 @@ from repro.core import (
     cosine_distance,
     extract_embeddings,
     train_extractor,
-)
-from repro.cascade import (
-    ExitPolicy,
-    QuantizedExtractor,
-    Stage1Gate,
-    calibrate_cascade,
 )
 from repro import obs
 from repro.datasets import DatasetCache, DatasetSpec, SynthDataset, generate_dataset
@@ -79,13 +69,11 @@ __all__ = [
     "BatchItemFailure",
     "BatchOutcome",
     "CancelableTransform",
-    "CascadeConfig",
     "DEFAULT_CONFIG",
     "DatasetCache",
     "DatasetSpec",
     "DecisionConfig",
     "EarSide",
-    "ExitPolicy",
     "ExtractorConfig",
     "FusionConfig",
     "Gender",
@@ -102,7 +90,6 @@ __all__ = [
     "PersonProfile",
     "PreprocessConfig",
     "Preprocessor",
-    "QuantizedExtractor",
     "Recorder",
     "RecordingCondition",
     "ReproError",
@@ -113,7 +100,6 @@ __all__ = [
     "ServingConfig",
     "SessionDecision",
     "SessionState",
-    "Stage1Gate",
     "StreamConfig",
     "StreamSession",
     "SynthDataset",
@@ -121,7 +107,6 @@ __all__ = [
     "TrainingConfig",
     "TwoBranchExtractor",
     "VerificationResult",
-    "calibrate_cascade",
     "cosine_distance",
     "extract_embeddings",
     "generate_dataset",

@@ -174,24 +174,11 @@ class InferenceConfig:
             shared no-op registry, whose overhead is held within 5% of
             an uninstrumented baseline by
             ``benchmarks/test_obs_overhead.py``.
-        stage2_quantization: post-training quantization scheme for the
-            extractor used by the verify/identify hot path
-            (:mod:`repro.cascade.quant`, DESIGN.md §4k).  ``"none"``
-            (default) runs the float master weights unchanged;
-            ``"int8"`` stores conv/linear weights as per-output-channel
-            symmetric int8 (scale = max|w| / 127, zero-point 0) and
-            ``"float16"`` stores every parameter as IEEE half
-            precision.  Either way the runtime forward dequantizes to
-            float and accumulates in the engine's compute dtype —
-            numpy has no low-precision gemm, so the scheme buys
-            storage bytes (the ``model_bytes{dtype=...}`` gauge) and a
-            bounded, benchmarked decision drift, not compute.
     """
 
     compute_dtype: str = "float64"
     batch_size: int = 256
     metrics_enabled: bool = False
-    stage2_quantization: str = "none"
 
     def __post_init__(self) -> None:
         _require(
@@ -199,10 +186,6 @@ class InferenceConfig:
             "compute_dtype must be 'float32' or 'float64'",
         )
         _require(self.batch_size > 0, "batch_size must be positive")
-        _require(
-            self.stage2_quantization in ("none", "int8", "float16"),
-            "stage2_quantization must be 'none', 'int8' or 'float16'",
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,74 +251,6 @@ class GalleryConfig:
             "compact_tombstone_ratio must lie in (0, 1]",
         )
         _require(self.score_threads >= 1, "score_threads must be >= 1")
-
-
-@dataclasses.dataclass(frozen=True)
-class CascadeConfig:
-    """Early-exit cascade policy (:mod:`repro.cascade`, DESIGN.md §4k).
-
-    Every verify probe pays preprocess → front end → two-branch CNN.
-    With the cascade enabled, a cheap stage-1 scorer produces one
-    distance-like confidence score per probe from the preprocessed
-    signal, and the exit band ``(t_accept, t_reject)`` routes it:
-    ``score <= t_accept`` accepts immediately, ``score > t_reject``
-    rejects immediately, and only the borderline band in between pays
-    the full extractor (stage 2).  Disabled by default — and when
-    disabled every decision is bitwise identical to the plain pipeline.
-
-    Attributes:
-        enabled: turn the cascade on for :meth:`MandiPass.verify_many
-            <repro.core.system.MandiPass.verify_many>`.
-        stage1: stage-1 scorer. ``"features"`` scores the robust
-            z-distance of the probe's 36-d statistical feature sample
-            (Section V-A hand features) to the enrollment mean;
-            ``"cnn"`` pools the first conv block of the extractor's
-            positive branch into a sketch and scores cosine distance
-            to the enrollment sketch (a truncated single-branch head
-            sharing the production weights).
-        t_accept: accept-band edge (inclusive).  Scores at or below it
-            exit as stage-1 accepts.
-        t_reject: reject-band edge (exclusive).  Scores above it
-            exit as stage-1 rejects.  Must be >= ``t_accept`` — an
-            inverted band is rejected at construction.  Both edges are
-            operating points fitted by
-            :func:`repro.cascade.calibrate_cascade`; the defaults are
-            deliberately conservative (wide borderline band).
-        forced_full_fraction: audit-sampling rate — this deterministic
-            fraction of probes is forced through stage 2 regardless of
-            the stage-1 score (provenance ``"stage2_forced"``), so a
-            deployment continuously measures stage-1 agreement on live
-            traffic.
-        epsilon_far: decision-quality bound pinned by the bench: the
-            calibrated operating point must not raise FAR by more than
-            this over the full pipeline on held-out trials.
-        epsilon_frr: the matching bound on the FRR increase.
-    """
-
-    enabled: bool = False
-    stage1: str = "features"
-    t_accept: float = 0.05
-    t_reject: float = 1.60
-    forced_full_fraction: float = 0.0
-    epsilon_far: float = 0.02
-    epsilon_frr: float = 0.02
-
-    def __post_init__(self) -> None:
-        _require(
-            self.stage1 in ("features", "cnn"),
-            "stage1 must be 'features' or 'cnn'",
-        )
-        _require(self.t_accept >= 0.0, "t_accept must be >= 0")
-        _require(
-            self.t_reject >= self.t_accept,
-            "inverted exit band: t_reject must be >= t_accept",
-        )
-        _require(
-            0.0 <= self.forced_full_fraction <= 1.0,
-            "forced_full_fraction must lie in [0, 1]",
-        )
-        _require(self.epsilon_far >= 0.0, "epsilon_far must be >= 0")
-        _require(self.epsilon_frr >= 0.0, "epsilon_frr must be >= 0")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -516,17 +431,10 @@ class StreamConfig:
         drain_timeout_s: default wait for in-flight verifications in
             :meth:`~repro.stream.StreamSession.drain`.
         local_gate: run the pipeline's sustained-vibration quality gate
-            in-session (on the assembled segment) and refuse locally —
-            emitting the same maximal-distance result the engine would —
-            instead of spending a server round-trip on near-silence.
-        local_stage1: when the backend's early-exit cascade is enabled
-            (:class:`CascadeConfig`), score stage 1 in-session on the
-            assembled segment: clear-cut windows emit their decision
-            locally without any backend round-trip, and borderline
-            windows are submitted flagged ``full_pipeline`` so the
-            backend skips the (already paid) stage-1 re-score and the
-            server batches them apart from cascade-eligible traffic.
-            A no-op while the cascade is disabled.
+            (:func:`repro.dsp.pipeline.sustained_vibration`) in-session
+            on the assembled segment and refuse locally — emitting the
+            same refusal the engine would — instead of spending a
+            server round-trip on near-silence.
     """
 
     chunk_size: int = 35
@@ -535,7 +443,6 @@ class StreamConfig:
     verify_timeout_ms: float | None = None
     drain_timeout_s: float = 30.0
     local_gate: bool = False
-    local_stage1: bool = True
 
     def __post_init__(self) -> None:
         _require(self.chunk_size > 0, "chunk_size must be positive")
@@ -561,8 +468,7 @@ class FusionConfig:
     <repro.core.system.MandiPass.verify_fused>` combines the two
     modalities; disabled (the default), or without a heartbeat
     template, ``verify_fused`` returns the plain :meth:`verify` result
-    object unchanged -- bitwise parity, the same pattern as the
-    cascade.
+    object unchanged -- bitwise parity.
 
     Attributes:
         enabled: turn multi-modal fusion on for ``verify_fused``.
@@ -657,7 +563,6 @@ class MandiPassConfig:
     resilience: ResilienceConfig = dataclasses.field(default_factory=ResilienceConfig)
     gallery: GalleryConfig = dataclasses.field(default_factory=GalleryConfig)
     stream: StreamConfig = dataclasses.field(default_factory=StreamConfig)
-    cascade: CascadeConfig = dataclasses.field(default_factory=CascadeConfig)
     fusion: FusionConfig = dataclasses.field(default_factory=FusionConfig)
 
     def __post_init__(self) -> None:

@@ -164,12 +164,6 @@ class InferenceEngine:
             :class:`~repro.errors.TransientError`, and verification
             proceeding (flagged degraded) when at least four of six IMU
             axes are usable.
-        quantization: post-training quantization scheme for the
-            extractor forward (``"none"``, ``"int8"``, ``"float16"``;
-            DESIGN.md §4k).  ``"none"`` runs ``model`` itself — the
-            bitwise-identical default; otherwise a
-            :class:`repro.cascade.quant.QuantizedExtractor` clone is
-            built lazily on first use and serves every embedding.
     """
 
     def __init__(
@@ -180,36 +174,18 @@ class InferenceEngine:
         batch_size: int = 256,
         compute_dtype: np.dtype | str = "float64",
         resilience: ResilienceConfig | None = None,
-        quantization: str = "none",
     ) -> None:
         if batch_size <= 0:
             raise ConfigError("batch_size must be positive")
         compute_dtype = np.dtype(compute_dtype)
         if compute_dtype not in (np.float32, np.float64):
             raise ConfigError("compute_dtype must be float32 or float64")
-        if quantization not in ("none", "int8", "float16"):
-            raise ConfigError(
-                "quantization must be 'none', 'int8' or 'float16'"
-            )
         self.model = model
         self.preprocessor = preprocessor
         self.frontend = frontend
         self.batch_size = batch_size
         self.compute_dtype = compute_dtype
         self.resilience = resilience or ResilienceConfig()
-        self.quantization = quantization
-        self._stage2_model = model if quantization == "none" else None
-
-    @property
-    def stage2_model(self):
-        """The model the embedding stages run: ``model`` or its
-        quantized clone (built lazily so engines that never embed pay
-        nothing for the scheme)."""
-        if self._stage2_model is None:
-            from repro.cascade.quant import QuantizedExtractor
-
-            self._stage2_model = QuantizedExtractor(self.model, self.quantization)
-        return self._stage2_model
 
     def _with_retry(self, fn: Callable[[], T], stage: str) -> T:
         """Run one stage, retrying transient failures with backoff.
@@ -276,7 +252,7 @@ class InferenceEngine:
         with obs.span("extractor"):
             return center_embedding(
                 extract_embeddings(
-                    self.stage2_model,
+                    self.model,
                     feature_arrays,
                     batch_size=self.batch_size,
                     dtype=self.compute_dtype,
@@ -285,13 +261,14 @@ class InferenceEngine:
 
     # -- end-to-end -----------------------------------------------------
 
-    def preprocessed(self, recordings: Sequence[RawRecording]) -> BatchOutcome:
-        """The signal-level front half of :meth:`embed`.
+    def embed(self, recordings: Sequence[RawRecording]) -> BatchOutcome:
+        """Recordings to centred MandiblePrints, with per-item failures.
 
-        Applies payload corruption once, runs the retried preprocess
-        stage, and records per-item failure / degraded-mode metrics.
-        The cascade path stops here to score stage 1 on signals before
-        deciding which rows pay :meth:`embed_signals`.
+        Transient stage failures are retried per stage, per the
+        engine's :class:`~repro.config.ResilienceConfig`; payload
+        corruption (the ``"imu"`` fault point) is applied once, before
+        the first attempt, so a retry re-processes the same corrupted
+        inputs rather than rolling new ones.
         """
         obs.observe_batch_size("embed", len(recordings))
         recordings = faults.corrupt_recordings(recordings)
@@ -302,45 +279,28 @@ class InferenceEngine:
             obs.inc("failures_total", error=failure.error)
         if outcome.degraded:
             obs.inc("degraded_total", float(len(outcome.degraded)), path="axes")
-        return outcome
-
-    def embed_signal_values(self, signal_arrays: np.ndarray) -> np.ndarray:
-        """Centred MandiblePrints ``(K, d)`` for stacked ``(K, 6, n)``
-        signals — the retried front-end + extractor back half."""
-        features = self._with_retry(
-            lambda: self.features(signal_arrays), "frontend"
-        )
-        return self._with_retry(
-            lambda: self.embed_features(features), "extractor"
-        )
-
-    def embed_signals(self, outcome: BatchOutcome) -> BatchOutcome:
-        """Embed the successes of a :meth:`preprocessed` outcome."""
         if outcome.num_ok == 0:
             empty = np.empty((0, self.model.config.embedding_dim))
             return dataclasses.replace(outcome, values=empty)
-        embeddings = self.embed_signal_values(outcome.values)
+        features = self._with_retry(
+            lambda: self.features(outcome.values), "frontend"
+        )
+        embeddings = self._with_retry(
+            lambda: self.embed_features(features), "extractor"
+        )
         return dataclasses.replace(outcome, values=embeddings)
-
-    def embed(self, recordings: Sequence[RawRecording]) -> BatchOutcome:
-        """Recordings to centred MandiblePrints, with per-item failures.
-
-        Transient stage failures are retried per the engine's
-        :class:`~repro.config.ResilienceConfig`; payload corruption (the
-        ``"imu"`` fault point) is applied once, before the first
-        attempt, so a retry re-processes the same corrupted inputs
-        rather than rolling new ones.
-        """
-        return self.embed_signals(self.preprocessed(recordings))
 
     def embed_one(self, recording: RawRecording) -> np.ndarray:
         """Single-recording path; raises on unusable input.
 
-        Unlike :meth:`embed`, an undetectable vibration propagates as a
-        :class:`repro.errors.SignalError` subclass — the contract of the
-        historical ``probe_embedding`` helper this backs.
+        Unlike :meth:`embed`, an undetectable vibration or too few
+        usable axes propagates as a :class:`repro.errors.SignalError`
+        subclass — the contract of the historical ``probe_embedding``
+        helper this backs.  The gates are the ones :meth:`embed` applies.
         """
         preprocessor, frontend = self._require_signal_stages()
-        signal_array = preprocessor.process(recording)
+        signal_array = preprocessor.process(
+            recording, min_usable_axes=self.resilience.min_usable_axes
+        )
         features = frontend.transform(signal_array)
         return self.embed_features(features[None, ...])[0]

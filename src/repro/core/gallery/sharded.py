@@ -167,7 +167,7 @@ class ShardedGallery:
         self, user_id: str, matrix: MatrixSource, template: np.ndarray
     ) -> None:
         """Log an enroll / renew / adapt for the next :meth:`sync`."""
-        self._log.append(
+        self._log.upsert(
             GalleryMutation(
                 kind="upsert",
                 user_id=user_id,
@@ -179,7 +179,10 @@ class ShardedGallery:
 
     def remove(self, user_id: str) -> None:
         """Log a revocation for the next :meth:`sync`."""
-        self._log.append(GalleryMutation(kind="remove", user_id=user_id))
+        self._log.remove(
+            GalleryMutation(kind="remove", user_id=user_id),
+            held=self._index.__contains__,
+        )
         obs.inc("gallery_mutations_total", kind="remove")
 
     @property

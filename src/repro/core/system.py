@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cascade import ExitPolicy, Stage1Gate
 from repro.config import MandiPassConfig, DEFAULT_CONFIG
 from repro.core.engine import InferenceEngine
 from repro.core.enrollment import enroll_user
@@ -22,11 +21,7 @@ from repro.core.frontend import make_frontend
 from repro.core.fusion import fuse_decision_level, fuse_score_level
 from repro.core.gallery import ShardedGallery
 from repro.core.similarity import accept, cosine_distance, distances_to_template
-from repro.core.verification import (
-    cascade_verify_batch,
-    verify_batch,
-    verify_presented_vector,
-)
+from repro.core.verification import verify_batch, verify_presented_vector
 from repro.dsp.pipeline import Preprocessor
 from repro.errors import (
     ConfigError,
@@ -78,22 +73,10 @@ class MandiPass:
             batch_size=config.inference.batch_size,
             compute_dtype=config.inference.compute_dtype,
             resilience=config.resilience,
-            quantization=config.inference.stage2_quantization,
         )
-        # Early-exit cascade (DESIGN.md §4k): both halves exist only
-        # when enabled, so the disabled default cannot perturb the
-        # verify path in any way.
-        if config.cascade.enabled:
-            self._cascade_gate: Stage1Gate | None = Stage1Gate(
-                config.cascade, model=model, frontend=self.frontend
-            )
-            self._cascade_policy: ExitPolicy | None = ExitPolicy(config.cascade)
-        else:
-            self._cascade_gate = None
-            self._cascade_policy = None
-        # Cross-modal fusion (DESIGN.md §4l): like the cascade, the
-        # heartbeat verifier exists only when enabled, so the disabled
-        # default cannot perturb the verify path in any way.
+        # Cross-modal fusion (DESIGN.md §4l): the heartbeat verifier
+        # exists only when enabled, so the disabled default cannot
+        # perturb the verify path in any way.
         if config.fusion.enabled:
             self._heartbeat: HeartbeatVerifier | None = HeartbeatVerifier(
                 rate_hz=config.sampling.rate_hz,
@@ -103,12 +86,6 @@ class MandiPass:
         else:
             self._heartbeat = None
         obs.set_gauge("model_bytes", float(model.storage_nbytes()), dtype="float32")
-        if self.engine.quantization != "none":
-            obs.set_gauge(
-                "model_bytes",
-                float(self.engine.stage2_model.storage_nbytes()),
-                dtype=self.engine.quantization,
-            )
         self.enclave = enclave or SecureEnclave()
         self._transforms: dict[str, CancelableTransform] = {}
         # Derived 1:N scoring state.  ``None`` means "rebuild from the
@@ -173,17 +150,6 @@ class MandiPass:
             self._gallery_mutation(
                 "upsert", user_id, transform, result.cancelable_template
             )
-            if self._cascade_gate is not None:
-                # Fit the stage-1 reference from the same enrollment
-                # recordings.  Preprocessing runs directly (not through
-                # the engine) so enrollment does not fire the
-                # engine.preprocess fault point a second time.
-                signals, _, _, _ = self.preprocessor.process_batch_detailed(
-                    recordings,
-                    min_usable_axes=self.config.resilience.min_usable_axes,
-                )
-                if len(signals):
-                    self._cascade_gate.fit_user(user_id, signals)
             obs.set_gauge("enrolled_users", len(self._transforms))
             return result.used_recordings
 
@@ -192,23 +158,15 @@ class MandiPass:
 
     # ------------------------------------------------------------------
 
-    def verify(
-        self,
-        user_id: str,
-        recording: RawRecording,
-        full_pipeline: bool = False,
-    ) -> VerificationResult:
+    def verify(self, user_id: str, recording: RawRecording) -> VerificationResult:
         """Decide one verification request against a sealed template.
 
         Thin wrapper over :meth:`verify_many` with a batch of one.
         """
-        return self.verify_many(user_id, [recording], full_pipeline=full_pipeline)[0]
+        return self.verify_many(user_id, [recording])[0]
 
     def verify_many(
-        self,
-        user_id: str,
-        recordings: Sequence[RawRecording],
-        full_pipeline: bool = False,
+        self, user_id: str, recordings: Sequence[RawRecording]
     ) -> list[VerificationResult]:
         """Decide a batch of requests against one sealed template.
 
@@ -219,19 +177,7 @@ class MandiPass:
         order.  Recordings without a usable vibration are rejected with
         the maximum distance, exactly as :meth:`verify` would reject
         them one at a time.
-
-        When the cascade is enabled (DESIGN.md §4k) and a stage-1
-        reference is fitted for the user, clear-cut probes exit on the
-        cheap stage-1 score and only borderline probes pay the
-        extractor.  ``full_pipeline=True`` bypasses the cascade for
-        this batch — the calibration/audit escape hatch, also used by
-        streaming clients that already ran stage 1 locally.
         """
-        use_cascade = (
-            not full_pipeline
-            and self._cascade_gate is not None
-            and self._cascade_gate.has_user(user_id)
-        )
         with self._rwlock.read_locked():
             transform = self._transforms.get(user_id)
             if transform is None:
@@ -239,17 +185,6 @@ class MandiPass:
             record = self.enclave.unseal(user_id)
             with obs.span("verify"):
                 obs.observe_batch_size("verify_many", len(recordings))
-                if use_cascade:
-                    return cascade_verify_batch(
-                        user_id=user_id,
-                        engine=self.engine,
-                        gate=self._cascade_gate,
-                        policy=self._cascade_policy,
-                        recordings=recordings,
-                        template=np.asarray(record.template),
-                        transform=transform,
-                        threshold=self.config.decision.threshold,
-                    )
                 return verify_batch(
                     user_id=user_id,
                     engine=self.engine,
@@ -293,17 +228,14 @@ class MandiPass:
             return self._heartbeat.has_user(user_id)
 
     def verify_fused(
-        self,
-        user_id: str,
-        recording: RawRecording,
-        full_pipeline: bool = False,
+        self, user_id: str, recording: RawRecording
     ) -> VerificationResult:
         """Decide one request with IMU + heartbeat fusion.
 
-        Parity contract (the cascade's pattern): when fusion is
-        disabled, or the user has no cardiac template, the returned
-        result is the :meth:`verify` result object itself -- bitwise
-        identical decisions, distances and exit stages.
+        Parity contract: when fusion is disabled, or the user has no
+        cardiac template, the returned result is the :meth:`verify`
+        result object itself -- bitwise identical decisions, distances
+        and exit stages.
 
         A modality that *refuses* (no usable signal) is treated as
         absent, not as impostor evidence: the other modality decides
@@ -312,7 +244,7 @@ class MandiPass:
         score-level by default, or an AND / OR / weighted-vote
         decision rule.
         """
-        imu = self.verify(user_id, recording, full_pipeline=full_pipeline)
+        imu = self.verify(user_id, recording)
         verifier = self._heartbeat
         if verifier is None:
             return imu
@@ -656,34 +588,11 @@ class MandiPass:
             self.enclave.revoke(user_id)
             self._transforms.pop(user_id, None)
             self._gallery_mutation("remove", user_id)
-            if self._cascade_gate is not None:
-                self._cascade_gate.drop_user(user_id)
             if self._heartbeat is not None:
                 self._heartbeat.drop_user(user_id)
             obs.set_gauge("enrolled_users", len(self._transforms))
 
     # ------------------------------------------------------------------
-
-    @property
-    def cascade_gate(self) -> Stage1Gate | None:
-        """The stage-1 gate, or ``None`` while the cascade is disabled."""
-        return self._cascade_gate
-
-    @property
-    def cascade_policy(self) -> ExitPolicy | None:
-        """The exit policy, or ``None`` while the cascade is disabled."""
-        return self._cascade_policy
-
-    def retune_cascade(self, t_accept: float, t_reject: float) -> None:
-        """Install a freshly calibrated exit band (validated).
-
-        Takes the write lock so the swap can never race an in-flight
-        scoring batch reading the band.
-        """
-        if self._cascade_policy is None:
-            raise ConfigError("the cascade is not enabled on this device")
-        with self._rwlock.write_locked():
-            self._cascade_policy.retune(t_accept, t_reject)
 
     def renew(
         self, user_id: str, recordings: list[RawRecording]

@@ -19,7 +19,6 @@ from repro.core.extractor import TwoBranchExtractor
 from repro.core.frontend import FrontEnd
 from repro.core.similarity import accept, cosine_distance, distances_to_template
 from repro.dsp.pipeline import Preprocessor
-from repro.errors import TransientError
 from repro.obs import runtime as obs
 from repro.security.cancelable import CancelableTransform
 from repro.types import RawRecording, VerificationResult
@@ -80,8 +79,7 @@ def verify_batch(
             user_id=user_id,
             degraded=idx in degraded,
             # A recording that never produced an embedding is a refusal
-            # (failure to acquire), same provenance the cascade path
-            # reports; fusion treats the modality as absent.
+            # (failure to acquire); fusion treats the modality as absent.
             exit_stage="full" if ok[idx] else "refused",
         )
         for idx, d in enumerate(distances)
@@ -91,108 +89,6 @@ def verify_batch(
             # A request whose recording never produced an embedding is a
             # *refusal* (the sentinel distance), not a biometric reject.
             if not usable:
-                obs.inc("decisions_total", decision="refusal")
-            elif result.accepted:
-                obs.inc("decisions_total", decision="accept")
-            else:
-                obs.inc("decisions_total", decision="reject")
-    return results
-
-
-def cascade_verify_batch(
-    user_id: str,
-    engine: InferenceEngine,
-    gate,
-    policy,
-    recordings: Sequence[RawRecording],
-    template: np.ndarray,
-    transform: CancelableTransform,
-    threshold: float,
-) -> list[VerificationResult]:
-    """Decide a batch through the early-exit cascade (DESIGN.md §4k).
-
-    Clear-cut probes exit on the stage-1 score with ``exit_stage ==
-    "stage1"`` (their ``distance`` is the stage-1 score and their
-    ``threshold`` the accept-band edge, so ``accept()`` stays
-    self-consistent); borderline and audit-forced probes pay
-    :meth:`~repro.core.engine.InferenceEngine.embed_signal_values` and
-    carry real cosine distances.  A transient stage-1 failure (the
-    ``cascade.stage1`` fault point) degrades the whole batch to the
-    full pipeline — availability over speed — recorded under the
-    ``fallback_full`` exit counter with ``exit_stage == "full"``.
-
-    Exit accounting is total: ``cascade_exits_total`` summed over its
-    ``stage`` labels equals the batch size.
-    """
-    from repro.cascade.policy import ROUTE_ACCEPT, ROUTE_BORDERLINE, ROUTE_FORCED
-
-    outcome = engine.preprocessed(recordings)
-    distances = np.full(outcome.batch_size, REJECTED_DISTANCE)
-    thresholds = np.full(outcome.batch_size, threshold)
-    stages = ["refused"] * outcome.batch_size
-    counter_stages = ["refused"] * outcome.batch_size
-    success = np.asarray(outcome.indices, dtype=np.int64)
-    if outcome.num_ok:
-        try:
-            scores = gate.scores(user_id, outcome.values)
-        except TransientError:
-            embedded = engine.embed_signals(outcome)
-            probes = transform.apply(embedded.values)
-            distances[success] = distances_to_template(
-                probes, np.asarray(template, dtype=np.float64)
-            )
-            for idx in success:
-                stages[int(idx)] = "full"
-                counter_stages[int(idx)] = "fallback_full"
-        else:
-            routes = policy.route(scores)
-            stage2_mask = (routes == ROUTE_BORDERLINE) | (routes == ROUTE_FORCED)
-            obs.set_gauge(
-                "cascade_borderline_fraction",
-                float((routes == ROUTE_BORDERLINE).sum()) / outcome.num_ok,
-            )
-            for pos, route in enumerate(routes):
-                idx = int(success[pos])
-                if route == ROUTE_ACCEPT:
-                    distances[idx] = scores[pos]
-                    thresholds[idx] = policy.t_accept
-                    stages[idx] = "stage1"
-                    counter_stages[idx] = "stage1_accept"
-                elif route == ROUTE_FORCED:
-                    stages[idx] = "stage2_forced"
-                    counter_stages[idx] = "stage2_forced"
-                elif route == ROUTE_BORDERLINE:
-                    stages[idx] = "stage2"
-                    counter_stages[idx] = "stage2"
-                else:
-                    distances[idx] = scores[pos]
-                    thresholds[idx] = policy.t_accept
-                    stages[idx] = "stage1"
-                    counter_stages[idx] = "stage1_reject"
-            if stage2_mask.any():
-                embeddings = engine.embed_signal_values(
-                    outcome.values[stage2_mask]
-                )
-                probes = transform.apply(embeddings)
-                distances[success[stage2_mask]] = distances_to_template(
-                    probes, np.asarray(template, dtype=np.float64)
-                )
-    degraded = set(int(i) for i in outcome.degraded)
-    results = [
-        VerificationResult(
-            accepted=accept(float(d), float(t)),
-            distance=float(d),
-            threshold=float(t),
-            user_id=user_id,
-            degraded=idx in degraded,
-            exit_stage=stage,
-        )
-        for idx, (d, t, stage) in enumerate(zip(distances, thresholds, stages))
-    ]
-    if obs.get_registry().enabled:
-        for result, counter_stage in zip(results, counter_stages):
-            obs.inc("cascade_exits_total", stage=counter_stage)
-            if counter_stage == "refused":
                 obs.inc("decisions_total", decision="refusal")
             elif result.accepted:
                 obs.inc("decisions_total", decision="accept")

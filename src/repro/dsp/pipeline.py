@@ -31,6 +31,34 @@ from repro.obs import runtime as obs
 from repro.types import NUM_AXES, RawRecording, SignalArray
 
 
+def sustained_vibration(
+    filtered: np.ndarray, min_segment_std: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sustained-vibration quality gate on high-passed segments.
+
+    After outlier replacement a segment that was 'detected' off sensor
+    glitches collapses to noise; a genuine 'EMM' sustains hundreds of
+    counts of high-passed energy.  An axis is *usable* when it is
+    finite end to end and carries any signal at all, so a dead channel
+    or a NaN burst disables that axis only; the gate holds when the
+    largest usable-axis std reaches ``min_segment_std``.  Every site
+    that applies the gate (batch, single-recording and streaming) calls
+    this one function.
+
+    Args:
+        filtered: ``(..., 6, n)`` high-passed segments.
+
+    Returns:
+        ``(usable, sustained)``: the ``(..., 6)`` usable-axis mask and
+        the ``(...)`` gate verdict.
+    """
+    finite = np.isfinite(filtered).all(axis=-1)
+    axis_std = np.where(finite, np.nan_to_num(filtered.std(axis=-1)), 0.0)
+    usable = finite & (axis_std > 1e-9)
+    sustained = np.where(usable, axis_std, 0.0).max(axis=-1) >= min_segment_std
+    return usable, sustained
+
+
 @dataclasses.dataclass(frozen=True)
 class PreprocessDebug:
     """Intermediate stages, for inspection and the Fig. 5/6 benches."""
@@ -61,16 +89,24 @@ class Preprocessor:
             self.config.sample_rate_hz,
         )
 
-    def process(self, recording: RawRecording) -> SignalArray:
+    def process(
+        self, recording: RawRecording, min_usable_axes: int = 1
+    ) -> SignalArray:
         """Full pipeline; raises on undetectable or too-short vibration.
+
+        ``min_usable_axes`` is the degraded-mode gate of
+        :meth:`process_batch_detailed`, applied with the same rule.
 
         Raises:
             repro.errors.OnsetNotFoundError: nothing to authenticate.
             repro.errors.SegmentTooShortError: vibration cut off early.
+            repro.errors.InsufficientAxesError: too few usable axes.
         """
-        return self.process_debug(recording).normalized
+        return self.process_debug(recording, min_usable_axes).normalized
 
-    def process_debug(self, recording: RawRecording) -> PreprocessDebug:
+    def process_debug(
+        self, recording: RawRecording, min_usable_axes: int = 1
+    ) -> PreprocessDebug:
         """Like :meth:`process` but returns every intermediate stage."""
         cfg = self.config
         with obs.span("onset"):
@@ -86,17 +122,24 @@ class Preprocessor:
 
         with obs.span("filter"):
             filtered = sosfilt(self._sos, despiked)
-        # Quality gate: after outlier replacement a segment that was
-        # 'detected' off sensor glitches collapses to noise; a genuine
-        # 'EMM' sustains hundreds of counts of high-passed energy.
         # Rejecting here turns glitch-triggered requests into refusals
         # instead of authenticating near-silence.
-        if float(filtered.std(axis=1).max()) < cfg.min_segment_std:
+        usable, sustained = sustained_vibration(filtered, cfg.min_segment_std)
+        if not sustained:
             raise OnsetNotFoundError(
                 "segment carries no sustained vibration after despiking"
             )
+        if usable.sum() < min_usable_axes:
+            raise InsufficientAxesError(
+                f"only {int(usable.sum())} of {NUM_AXES} axes usable; "
+                f"policy requires {min_usable_axes}"
+            )
         with obs.span("normalize"):
-            normalized = min_max_normalize(filtered, axis=-1)
+            # Unusable axes are zeroed as in the batch path, so a NaN
+            # burst never reaches the extractor.
+            normalized = min_max_normalize(
+                np.where(usable[:, None], filtered, 0.0), axis=-1
+            )
         return PreprocessDebug(
             onset=onset,
             raw_segments=segments,
@@ -196,15 +239,7 @@ class Preprocessor:
             despiked = replace_outliers_batch(stacked, threshold=cfg.mad_threshold)
         with obs.span("filter"):
             filtered = sosfilt(self._sos, despiked)
-        # Axis usability: finite end-to-end and carrying any signal.  A
-        # dead channel or NaN burst disables that axis only, so the
-        # sustained-energy gate below runs over usable axes and cannot
-        # be poisoned by a single NaN.
-        finite = np.isfinite(filtered).all(axis=2)
-        axis_std = np.where(finite, np.nan_to_num(filtered.std(axis=2)), 0.0)
-        usable = finite & (axis_std > 1e-9)
-        # Same quality gate as process_debug, vectorised across items.
-        sustained = np.where(usable, axis_std, 0.0).max(axis=1) >= cfg.min_segment_std
+        usable, sustained = sustained_vibration(filtered, cfg.min_segment_std)
         enough = usable.sum(axis=1) >= min_usable_axes
         keep = sustained & enough
         for local in np.flatnonzero(~keep):

@@ -162,16 +162,13 @@ class ServeRequest:
     deadline: float | None  # absolute time.monotonic(), None = no deadline
     submitted_at: float     # time.perf_counter(), for e2e latency
     enqueued_at: float = 0.0  # stamped by the batcher
-    full_pipeline: bool = False  # bypass the cascade for this request
 
     @property
     def key(self) -> tuple:
         # verify batches share one sealed template, so they key by
         # user; identify batches score the whole gallery and coalesce
-        # globally.  Cascade-bypassing requests (streaming clients that
-        # already ran stage 1 locally, calibration traffic) batch
-        # separately so one flag decides a whole homogeneous batch.
-        return (self.kind, self.user_id, self.full_pipeline)
+        # globally.
+        return (self.kind, self.user_id)
 
 
 class AuthServer:
@@ -366,7 +363,6 @@ class AuthServer:
         user_id: str,
         recording: "RawRecording",
         timeout_ms: float | None = None,
-        full_pipeline: bool = False,
     ) -> AuthFuture:
         """Submit one 1:1 verification request; never blocks.
 
@@ -375,15 +371,8 @@ class AuthServer:
                 queued when it expires is shed (future resolves with
                 :class:`~repro.errors.DeadlineExpiredError`); a request
                 already dispatched to a worker is always answered.
-            full_pipeline: bypass the early-exit cascade for this
-                request (DESIGN.md §4k); such requests batch separately
-                from cascading ones.  A no-op while the cascade is
-                disabled.
         """
-        return self._submit(
-            RequestKind.VERIFY, user_id, recording, timeout_ms,
-            full_pipeline=full_pipeline,
-        )
+        return self._submit(RequestKind.VERIFY, user_id, recording, timeout_ms)
 
     def identify(
         self, recording: "RawRecording", timeout_ms: float | None = None
@@ -445,7 +434,6 @@ class AuthServer:
         user_id: str | None,
         recording: "RawRecording",
         timeout_ms: float | None,
-        full_pipeline: bool = False,
     ) -> AuthFuture:
         if timeout_ms is not None and timeout_ms <= 0:
             raise ConfigError("timeout_ms must be positive when given")
@@ -460,7 +448,6 @@ class AuthServer:
             future=future,
             deadline=deadline,
             submitted_at=time.perf_counter(),
-            full_pipeline=full_pipeline,
         )
         obs.inc("serve_requests_total", kind=kind.value)
         if self._stopped:
@@ -529,9 +516,7 @@ class AuthServer:
                     index, head.kind, head.user_id, recordings
                 )
             if head.kind is RequestKind.VERIFY:
-                return self.system.verify_many(
-                    head.user_id, recordings, full_pipeline=head.full_pipeline
-                )
+                return self.system.verify_many(head.user_id, recordings)
             return self.system.identify_many(recordings)
 
         timeout_s = self.resilience.stage_timeout_s

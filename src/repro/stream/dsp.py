@@ -51,6 +51,7 @@ from repro.dsp.detection import (
 from repro.dsp.filters import normalized_sections, sosfilt
 from repro.dsp.normalize import min_max_normalize
 from repro.dsp.outliers import replace_outliers
+from repro.dsp.pipeline import sustained_vibration
 from repro.errors import ShapeError, StreamStateError
 from repro.types import ACCEL_AXES, NUM_AXES
 
@@ -361,8 +362,10 @@ class SegmentAssembler:
 
     def passes_gate(self) -> bool:
         """The pipeline's sustained-vibration quality gate."""
-        filtered = self.filtered()
-        return float(filtered.std(axis=1).max()) >= self.config.min_segment_std
+        _, sustained = sustained_vibration(
+            self.filtered(), self.config.min_segment_std
+        )
+        return bool(sustained)
 
     def normalized(self) -> np.ndarray:
         """The final ``(6, n)`` signal array (Eq. 7 applied)."""

@@ -53,16 +53,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.cascade.policy import ROUTE_ACCEPT, ROUTE_REJECT
 from repro.config import PreprocessConfig, StreamConfig
 from repro.dsp.detection import _detection_sos
-from repro.errors import (
-    InjectedFaultError,
-    ShapeError,
-    SignalError,
-    StreamStateError,
-    TransientError,
-)
+from repro.errors import InjectedFaultError, ShapeError, StreamStateError
 from repro.faults import runtime as faults
 from repro.obs import runtime as obs
 from repro.stream.dsp import SegmentAssembler, StreamingOnsetDetector
@@ -163,17 +156,6 @@ class StreamSession:
         self.config = config if config is not None else backend.config.stream
         self.preprocess: PreprocessConfig = backend.config.preprocess
         self._threshold = backend.config.decision.threshold
-        # Local stage-1 gating (DESIGN.md §4k): clear-cut windows are
-        # decided on-session from the backend's fitted gate; borderline
-        # windows are submitted flagged ``full_pipeline`` so the backend
-        # does not re-score stage 1.  Both halves are None while the
-        # cascade is disabled, making this a no-op.
-        if self.config.local_stage1:
-            self._cascade_gate = backend.cascade_gate
-            self._cascade_policy = backend.cascade_policy
-        else:
-            self._cascade_gate = None
-            self._cascade_policy = None
         self._sos = _detection_sos(self.preprocess)
         self._on_decision = on_decision
         self.session_id = session_id if session_id is not None else f"s{id(self):x}"
@@ -377,8 +359,9 @@ class StreamSession:
         submitted = time.perf_counter()
         meta = (self._onset_abs, self._window_start, self._window_start + self._needed)
         if self.config.local_gate and not self._segment_passes_gate(window):
-            # Same terminal the engine reaches for a gate failure: the
-            # maximal sentinel distance, never an accept.
+            # The refusal the engine returns for a gate failure: the
+            # maximal sentinel distance with ``"refused"`` provenance,
+            # never an accept.
             from repro.core.verification import REJECTED_DISTANCE
 
             obs.inc("stream_local_refusals_total")
@@ -387,75 +370,19 @@ class StreamSession:
                 distance=REJECTED_DISTANCE,
                 threshold=self._threshold,
                 user_id=self.user_id,
+                exit_stage="refused",
             )
             self._finish(decisions, result, None, "ok", submitted, meta)
             return
-        full_pipeline = False
-        if self._cascade_gate is not None and self._cascade_gate.has_user(
-            self.user_id
-        ):
-            result, full_pipeline = self._local_stage1(window)
-            if result is not None:
-                obs.inc(
-                    "stream_stage1_exits_total",
-                    decision="accept" if result.accepted else "reject",
-                )
-                self._finish(decisions, result, None, "ok", submitted, meta)
-                return
         with obs.span("stream_submit"):
             if self._server is not None:
                 future = self._server.verify(
-                    self.user_id,
-                    window,
-                    timeout_ms=self.config.verify_timeout_ms,
-                    full_pipeline=full_pipeline,
+                    self.user_id, window, timeout_ms=self.config.verify_timeout_ms
                 )
                 self._pending = (future, submitted, *meta)
             else:
-                results = self._system.verify_many(
-                    self.user_id, [window], full_pipeline=full_pipeline
-                )
+                results = self._system.verify_many(self.user_id, [window])
                 self._finish(decisions, results[0], None, "ok", submitted, meta)
-
-    def _local_stage1(
-        self, window: np.ndarray
-    ) -> tuple[VerificationResult | None, bool]:
-        """Try to decide the window locally; ``(result, full_pipeline)``.
-
-        ``(result, False)`` — a clear-cut stage-1 exit, decided here.
-        ``(None, True)`` — borderline (or audit-forced): submit flagged
-        ``full_pipeline`` so the backend skips its own stage-1 pass.
-        ``(None, False)`` — the local assembly could not produce the
-        canonical signal (gate failure, injected stage-1 fault): submit
-        unflagged and let the backend decide canonically.
-        """
-        onset_rel = self._onset_abs - self._window_start
-        assembler = SegmentAssembler(self.preprocess)
-        assembler.push(window[onset_rel:])
-        try:
-            if not assembler.passes_gate():
-                return None, False
-            signal = assembler.normalized()
-        except SignalError:
-            return None, False
-        try:
-            scores = self._cascade_gate.scores(self.user_id, signal[None, ...])
-        except TransientError:
-            return None, False
-        route = int(self._cascade_policy.route(scores)[0])
-        if route in (ROUTE_ACCEPT, ROUTE_REJECT):
-            return (
-                VerificationResult(
-                    accepted=route == ROUTE_ACCEPT,
-                    distance=float(scores[0]),
-                    threshold=self._cascade_policy.t_accept,
-                    user_id=self.user_id,
-                    exit_stage="stage1",
-                ),
-                False,
-            )
-        obs.inc("stream_stage1_exits_total", decision="borderline")
-        return None, True
 
     def _segment_passes_gate(self, window: np.ndarray) -> bool:
         onset_rel = self._onset_abs - self._window_start

@@ -30,6 +30,53 @@ class TestCLI:
         args = build_parser().parse_args(["train", "--people", "8", "--epochs", "2"])
         assert args.people == 8 and args.epochs == 2 and not args.force
 
+    def test_scenario_bench_reports_claims(self, monkeypatch, capsys):
+        """The command prints every claim and exits on their conjunction."""
+        import repro.eval.scenarios as scenarios
+
+        claims = {
+            "hostile_cell": "walk/noisy",
+            "hostile_imu_eer": 0.2,
+            "hostile_fused_eer": 0.1,
+            "matrix_full": True,
+            "fused_beats_imu_in_hostile_cell": True,
+            "fused_no_worse_in_clean": True,
+            "replay_blocked_by_fusion": True,
+            "mimicry_no_worse_fused": True,
+        }
+        report = {
+            "calibration": {
+                "imu_threshold": 0.4,
+                "heartbeat_threshold": 0.5,
+                "fusion_weights": {"imu": 0.7, "heartbeat": 0.3},
+            },
+            "matrix": [{
+                "scenario": "still/clean",
+                "modalities": {m: {"eer": 0.05}
+                               for m in ("imu", "heartbeat", "fused")},
+            }],
+            "attacks": [{
+                "attack": "replay",
+                "far": {"imu": 0.9, "heartbeat": 0.0, "fused": 0.0},
+            }],
+            "claims": claims,
+        }
+        calls = []
+
+        def fake_bench(quick, output, seed):
+            calls.append((quick, output, seed))
+            return report
+
+        monkeypatch.setattr(scenarios, "run_scenario_bench", fake_bench)
+        assert main(["scenario-bench", "--quick", "--output", ""]) == 0
+        assert calls == [(True, None, 0)]
+        out = capsys.readouterr().out
+        assert "mimicry_no_worse_fused" in out and "FAIL" not in out
+
+        claims["replay_blocked_by_fusion"] = False
+        assert main(["scenario-bench", "--quick", "--output", ""]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
 
 class TestProductionModelCache:
     def test_train_and_reload_identical(self, tmp_path):

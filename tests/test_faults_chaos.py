@@ -381,6 +381,27 @@ class TestEngineRetry:
             == 1
         )
 
+    def test_retry_reprocesses_the_once_corrupted_batch(self, bench):
+        # Payload corruption is drawn once per embed, before the first
+        # attempt; a retried preprocess sees the same corrupted inputs.
+        system, _, probes = bench
+        burst = FaultRule("imu", "nan", axes=(4,), fraction=0.1)
+        with FaultPlan([burst], seed=3).active():
+            once = system.engine.embed(probes[:3])
+        flaky = FaultRule("engine.preprocess", "error", max_fires=1)
+        with obs.collecting() as registry:
+            with FaultPlan([burst, flaky], seed=3).active():
+                retried = system.engine.embed(probes[:3])
+        np.testing.assert_array_equal(retried.values, once.values)
+        assert retried.degraded == once.degraded
+        assert (
+            registry.counter("fault_injected_total", point="imu", kind="nan").value
+            == 3
+        )
+        assert (
+            registry.counter("fault_retries_total", stage="preprocess").value == 1
+        )
+
     def test_exhausted_retries_raise_transient_error(self, bench):
         system, _, probes = bench
         rule = FaultRule("engine.preprocess", "error")  # fires every attempt
@@ -682,7 +703,6 @@ class TestChaosSchedules:
             "serve.queue",
             "serve.worker",
             "stream.push",
-            "cascade.stage1",
         }
 
     @pytest.mark.parametrize("seed", range(12))

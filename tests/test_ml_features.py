@@ -59,8 +59,9 @@ class TestStatisticalFeatures:
         np.testing.assert_array_equal(first, second)
 
     def test_batch_is_bitwise_equal_to_single(self, rng):
-        # The cascade's stage-1 gate depends on the vectorized batch
-        # path matching the per-item reference bit for bit.
+        # The Fig. 7 sequential-forward-selection bench scores whole
+        # campaigns through the vectorized batch path; it must match
+        # the per-item reference bit for bit.
         arrays = rng.normal(size=(8, 6, 105))
         batch = statistical_features_batch(arrays)
         for i, array in enumerate(arrays):
