@@ -430,11 +430,6 @@ class StreamConfig:
             sessions; ``None`` submits without a deadline.
         drain_timeout_s: default wait for in-flight verifications in
             :meth:`~repro.stream.StreamSession.drain`.
-        local_gate: run the pipeline's sustained-vibration quality gate
-            (:func:`repro.dsp.pipeline.sustained_vibration`) in-session
-            on the assembled segment and refuse locally — emitting the
-            same refusal the engine would — instead of spending a
-            server round-trip on near-silence.
     """
 
     chunk_size: int = 35
@@ -442,7 +437,6 @@ class StreamConfig:
     rearm_after_samples: int = 4096
     verify_timeout_ms: float | None = None
     drain_timeout_s: float = 30.0
-    local_gate: bool = False
 
     def __post_init__(self) -> None:
         _require(self.chunk_size > 0, "chunk_size must be positive")

@@ -30,11 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.gradients import (
-    resample_to_length,
-    signal_gradients,
-    split_directions_batch,
-)
+from repro.dsp.gradients import split_directions_batch
 from repro.errors import ConfigError, ShapeError
 from repro.types import NUM_AXES, ensure_signal_array
 
@@ -48,6 +44,11 @@ class FrontEnd:
         raise NotImplementedError
 
     def transform(self, signal_array: np.ndarray) -> np.ndarray:
+        """One ``(6, n)`` signal array: the batch of one, no second path."""
+        return self.transform_batch(ensure_signal_array(signal_array)[None])[0]
+
+    def transform_batch(self, signal_arrays: np.ndarray) -> np.ndarray:
+        """``(B, 6, n)`` to ``(B, 2, 6, W)``."""
         raise NotImplementedError
 
     def _check_batch(self, signal_arrays: np.ndarray) -> np.ndarray:
@@ -58,13 +59,6 @@ class FrontEnd:
 
     def _empty_batch(self, segment_length: int) -> np.ndarray:
         return np.empty((0, 2, NUM_AXES, self.width(segment_length or 60)))
-
-    def transform_batch(self, signal_arrays: np.ndarray) -> np.ndarray:
-        """``(B, 6, n)`` to ``(B, 2, 6, W)``; loop fallback for subclasses."""
-        signal_arrays = self._check_batch(signal_arrays)
-        if signal_arrays.shape[0] == 0:
-            return self._empty_batch(signal_arrays.shape[2])
-        return np.stack([self.transform(s) for s in signal_arrays])
 
 
 class RectifiedSpectralFrontEnd(FrontEnd):
@@ -85,19 +79,8 @@ class RectifiedSpectralFrontEnd(FrontEnd):
     def width(self, segment_length: int) -> int:
         return segment_length // 2 + 1
 
-    def transform(self, signal_array: np.ndarray) -> np.ndarray:
-        signal_array = ensure_signal_array(signal_array)
-        centered = signal_array - signal_array.mean(axis=1, keepdims=True)
-        stacked = np.stack([np.maximum(centered, 0.0), np.maximum(-centered, 0.0)])
-        spectra = np.abs(np.fft.rfft(stacked, axis=2))
-        return spectra**self.power
-
     def transform_batch(self, signal_arrays: np.ndarray) -> np.ndarray:
-        """Vectorised transform: one rectification + FFT over the stack.
-
-        Every step is elementwise or along the last axis, so each slice
-        equals :meth:`transform` of the corresponding signal array.
-        """
+        """One rectification + FFT over the whole stack."""
         signal_arrays = self._check_batch(signal_arrays)
         if signal_arrays.shape[0] == 0:
             return self._empty_batch(signal_arrays.shape[2])
@@ -125,22 +108,6 @@ class GradientFrontEnd(FrontEnd):
 
     def width(self, segment_length: int) -> int:
         return segment_length // 2
-
-    def transform(self, signal_array: np.ndarray) -> np.ndarray:
-        signal_array = ensure_signal_array(signal_array)
-        n = signal_array.shape[1]
-        width = self.width(n)
-        grads = signal_gradients(signal_array)
-        out = np.empty((2, NUM_AXES, width))
-        for axis in range(NUM_AXES):
-            positive = grads[axis][grads[axis] >= 0.0]
-            negative = grads[axis][grads[axis] < 0.0]
-            if self.order == "sorted":
-                positive = np.sort(positive)[::-1]
-                negative = np.sort(negative)
-            out[0, axis] = resample_to_length(positive, width)
-            out[1, axis] = resample_to_length(negative, width)
-        return out
 
     def transform_batch(self, signal_arrays: np.ndarray) -> np.ndarray:
         """Vectorised sign-split: all ``B * 6`` axis rows in one pass."""

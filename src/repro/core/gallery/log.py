@@ -70,10 +70,9 @@ class MutationLog:
     latency stays O(1) in the enrolled population; draining peeks the
     head and pops only after the caller applied it successfully.
 
-    :meth:`upsert` and :meth:`remove` are the coalescing appends the
-    gallery uses, so a warm gallery that is mutated but never
-    identified against holds at most a remove and an upsert per user
-    (:meth:`append` is the plain FIFO append):
+    :meth:`upsert` and :meth:`remove` are the coalescing appends, so a
+    warm gallery that is mutated but never identified against holds at
+    most a remove and an upsert per user:
 
     * an upsert overwrites the user's pending upsert in place when no
       remove follows it — the later row wins either way, and the
@@ -108,10 +107,6 @@ class MutationLog:
         self._entries[self._next_id] = mutation
         self._by_user.setdefault(mutation.user_id, []).append(self._next_id)
         self._next_id += 1
-
-    def append(self, mutation: GalleryMutation) -> None:
-        with self._lock:
-            self._push(mutation)
 
     def upsert(self, mutation: GalleryMutation) -> None:
         """Log an upsert, overwriting the user's pending upsert."""

@@ -9,22 +9,37 @@ as a cosine *distance*, lower = more alike.  We implement
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ShapeError
 
 
+#: The distance of a vector with a NaN or infinite entry: the maximum,
+#: so no threshold below it accepts one.
+NONFINITE_DISTANCE = 2.0
+
+
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """``1 - cos(u, v)``; zero vectors are maximally distant (1.0)."""
+    """``1 - cos(u, v)``; zero vectors are maximally distant (1.0).
+
+    A non-finite vector or cosine has no direction to compare and gets
+    :data:`NONFINITE_DISTANCE`.
+    """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if u.shape != v.shape:
         raise ShapeError(f"vector shapes differ: {u.shape} vs {v.shape}")
     norm_u = float(np.linalg.norm(u))
     norm_v = float(np.linalg.norm(v))
+    if not (math.isfinite(norm_u) and math.isfinite(norm_v)):
+        return NONFINITE_DISTANCE
     if norm_u == 0.0 or norm_v == 0.0:
         return 1.0
     cos = float(np.dot(u, v) / (norm_u * norm_v))
+    if not math.isfinite(cos):
+        return NONFINITE_DISTANCE
     return 1.0 - max(-1.0, min(1.0, cos))
 
 

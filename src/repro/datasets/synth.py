@@ -17,10 +17,9 @@ import numpy as np
 from repro.config import PreprocessConfig, SamplingConfig
 from repro.core.frontend import FRONTEND_KINDS, make_frontend
 from repro.dsp.detection import detect_onset, segment_after_onset
-from repro.dsp.filters import design_highpass, sosfilt
-from repro.dsp.normalize import min_max_normalize
-from repro.dsp.outliers import replace_outliers
-from repro.errors import ConfigError, SignalError
+from repro.dsp.filters import design_highpass
+from repro.dsp.pipeline import post_onset_stages
+from repro.errors import ConfigError, SegmentTooShortError, SignalError
 from repro.imu.device import IMUDevice, MPU9250
 from repro.imu.recorder import Recorder
 from repro.physio.conditions import NOMINAL, RecordingCondition
@@ -168,30 +167,24 @@ def preprocess_at_offsets(
 ) -> list[np.ndarray]:
     """Cut one preprocessed signal array per in-range offset.
 
+    The in-range segments run through the pipeline's post-onset stages
+    as one stack; the quality gates are not applied (training keeps
+    every cut).
+
     Raises:
         repro.errors.SignalError: if no onset is found or no offset
             leaves room for a full segment.
     """
-    onset = detect_onset(recording, preprocess)
-    out = []
-    for offset in offsets:
-        start = onset + offset
-        if start < 0 or start + preprocess.segment_length > recording.shape[0]:
-            continue
-        segments = segment_after_onset(recording, start, preprocess.segment_length)
-        despiked = np.stack(
-            [
-                replace_outliers(segments[axis], threshold=preprocess.mad_threshold)
-                for axis in range(NUM_AXES)
-            ]
-        )
-        filtered = sosfilt(sos, despiked)
-        out.append(min_max_normalize(filtered, axis=-1))
-    if not out:
-        from repro.errors import SegmentTooShortError
-
+    onset = detect_onset(recording, preprocess, sos=sos)
+    segments = [
+        segment_after_onset(recording, onset + offset, preprocess.segment_length)
+        for offset in offsets
+        if 0 <= onset + offset
+        and onset + offset + preprocess.segment_length <= recording.shape[0]
+    ]
+    if not segments:
         raise SegmentTooShortError("no offset left room for a full segment")
-    return out
+    return list(post_onset_stages(np.stack(segments), preprocess, sos).normalized)
 
 
 def generate_dataset(

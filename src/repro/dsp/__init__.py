@@ -29,7 +29,7 @@ from repro.dsp.filters import (
     sosfilt,
 )
 from repro.dsp.stft import spectrogram, stft, window_function
-from repro.dsp.gradients import gradient_array, signal_gradients
+from repro.dsp.gradients import signal_gradients
 from repro.dsp.normalize import min_max_normalize, z_score_normalize
 from repro.dsp.outliers import mad_outlier_mask, replace_outliers
 from repro.dsp.pipeline import Preprocessor
@@ -50,7 +50,6 @@ __all__ = [
     "design_highpass",
     "design_lowpass",
     "detect_onset",
-    "gradient_array",
     "highpass",
     "mad_outlier_mask",
     "min_max_normalize",

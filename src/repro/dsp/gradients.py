@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.types import NUM_AXES, ensure_signal_array
+from repro.types import ensure_signal_array
 
 
 def signal_gradients(signal_array: np.ndarray) -> np.ndarray:
@@ -24,74 +24,16 @@ def signal_gradients(signal_array: np.ndarray) -> np.ndarray:
     return np.diff(signal_array, axis=1)
 
 
-def resample_to_length(values: np.ndarray, length: int) -> np.ndarray:
-    """Linear interpolation of a 1-D sequence onto ``length`` points.
-
-    Edge cases follow the paper's intent of dimension consistency:
-    an empty sequence yields zeros (no motion in that direction) and a
-    single value is repeated.
-    """
-    if length <= 0:
-        raise ShapeError("length must be positive")
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ShapeError("resample_to_length() expects a 1-D array")
-    if values.size == 0:
-        return np.zeros(length)
-    if values.size == 1:
-        return np.full(length, float(values[0]))
-    positions = np.linspace(0.0, values.size - 1.0, length)
-    return np.interp(positions, np.arange(values.size), values)
-
-
-def split_directions(gradients: np.ndarray, width: int) -> np.ndarray:
-    """Sign-split one axis's gradients into two fixed-width sequences.
-
-    Gradients >= 0 belong to the positive direction, the rest to the
-    negative direction; each side is resampled to ``width`` values.
-
-    Returns:
-        ``(2, width)`` -- row 0 positive, row 1 negative.
-    """
-    gradients = np.asarray(gradients, dtype=np.float64)
-    if gradients.ndim != 1:
-        raise ShapeError("split_directions() expects a 1-D array")
-    positive = gradients[gradients >= 0.0]
-    negative = gradients[gradients < 0.0]
-    return np.stack(
-        [
-            resample_to_length(positive, width),
-            resample_to_length(negative, width),
-        ]
-    )
-
-
-def gradient_array(signal_array: np.ndarray, width: int | None = None) -> np.ndarray:
-    """Full Section V-B transform: signal array to ``(2, 6, width)``.
-
-    Args:
-        signal_array: preprocessed ``(6, n)`` array.
-        width: gradients per direction; defaults to ``n // 2``.
-    """
-    signal_array = ensure_signal_array(signal_array)
-    n = signal_array.shape[1]
-    width = n // 2 if width is None else width
-    grads = signal_gradients(signal_array)
-    out = np.empty((2, NUM_AXES, width))
-    for axis in range(NUM_AXES):
-        out[:, axis, :] = split_directions(grads[axis], width)
-    return out
-
-
 def resample_rows_to_length(
     rows: np.ndarray, counts: np.ndarray, length: int
 ) -> np.ndarray:
-    """Row-wise :func:`resample_to_length` over a padded ``(R, m)`` stack.
+    """Linear interpolation of each row of a padded ``(R, m)`` stack.
 
     Row ``r`` is interpolated from its first ``counts[r]`` entries onto
-    ``length`` points; the padding beyond the count is ignored.  Empty
-    rows yield zeros and single-value rows are repeated, matching the
-    scalar helper's edge cases.
+    ``length`` points; the padding beyond the count is ignored.  Edge
+    cases follow the paper's intent of dimension consistency: an empty
+    row yields zeros (no motion in that direction) and a single value
+    is repeated.
     """
     if length <= 0:
         raise ShapeError("length must be positive")
@@ -127,7 +69,10 @@ def resample_rows_to_length(
 def split_directions_batch(
     gradients: np.ndarray, width: int, order: str = "temporal"
 ) -> np.ndarray:
-    """Vectorised :func:`split_directions` over a ``(R, m)`` row stack.
+    """Sign-split each row of gradients into two fixed-width sequences.
+
+    Gradients >= 0 belong to the positive direction, the rest to the
+    negative direction; each side is resampled to ``width`` values.
 
     Args:
         gradients: one gradient sequence per row.
@@ -164,19 +109,3 @@ def split_directions_batch(
             compact = np.sort(padded, axis=1)
         out[:, direction] = resample_rows_to_length(compact, counts, width)
     return out
-
-
-def gradient_array_batch(
-    signal_arrays: np.ndarray, width: int | None = None
-) -> np.ndarray:
-    """Vectorised Section V-B transform: ``(B, 6, n)`` to ``(B, 2, 6, width)``."""
-    signal_arrays = np.asarray(signal_arrays, dtype=np.float64)
-    if signal_arrays.ndim != 3:
-        raise ShapeError("expected (B, 6, n)")
-    batch, axes, n = signal_arrays.shape
-    width = n // 2 if width is None else width
-    if batch == 0:
-        return np.empty((0, 2, axes, width))
-    grads = np.diff(signal_arrays, axis=2)
-    split = split_directions_batch(grads.reshape(batch * axes, n - 1), width)
-    return split.reshape(batch, axes, 2, width).transpose(0, 2, 1, 3)

@@ -25,7 +25,9 @@ from repro.dsp.detection import (
 )
 from repro.dsp.filters import design_highpass, sosfilt
 from repro.dsp.normalize import min_max_normalize
-from repro.dsp.outliers import replace_outliers, replace_outliers_batch
+from repro.dsp.outliers import replace_outliers_batch
+# No stage calls this any more; perfbench/tracing.py still patches the name.
+from repro.dsp.outliers import replace_outliers  # noqa: F401
 from repro.errors import InsufficientAxesError, OnsetNotFoundError, SignalError
 from repro.obs import runtime as obs
 from repro.types import NUM_AXES, RawRecording, SignalArray
@@ -41,9 +43,9 @@ def sustained_vibration(
     counts of high-passed energy.  An axis is *usable* when it is
     finite end to end and carries any signal at all, so a dead channel
     or a NaN burst disables that axis only; the gate holds when the
-    largest usable-axis std reaches ``min_segment_std``.  Every site
-    that applies the gate (batch, single-recording and streaming) calls
-    this one function.
+    largest usable-axis std reaches ``min_segment_std``.  Only
+    :func:`post_onset_stages` calls it; the single-recording path and
+    the streaming backend both run that stage code.
 
     Args:
         filtered: ``(..., 6, n)`` high-passed segments.
@@ -57,6 +59,66 @@ def sustained_vibration(
     usable = finite & (axis_std > 1e-9)
     sustained = np.where(usable, axis_std, 0.0).max(axis=-1) >= min_segment_std
     return usable, sustained
+
+
+@dataclasses.dataclass(frozen=True)
+class SegmentStages:
+    """Post-onset stages of a ``(K, 6, n)`` segment stack, row by row."""
+
+    despiked: np.ndarray
+    filtered: np.ndarray
+    normalized: np.ndarray
+    usable: np.ndarray
+    sustained: np.ndarray
+
+
+def post_onset_stages(
+    segments: np.ndarray, config: PreprocessConfig, sos: np.ndarray
+) -> SegmentStages:
+    """Despike, high-pass, gate and normalise a ``(K, 6, n)`` stack.
+
+    The one implementation of every stage after onset: the batch and
+    single-recording pipelines and the training-set generator all call
+    it.  Unusable axes are zeroed before normalisation, so a NaN burst
+    never reaches the extractor; the gate verdicts are returned, not
+    applied.
+    """
+    with obs.span("outlier"):
+        despiked = replace_outliers_batch(segments, threshold=config.mad_threshold)
+    with obs.span("filter"):
+        filtered = sosfilt(sos, despiked)
+    # Rejecting on the gate turns glitch-triggered requests into
+    # refusals instead of authenticating near-silence.
+    usable, sustained = sustained_vibration(filtered, config.min_segment_std)
+    with obs.span("normalize"):
+        normalized = min_max_normalize(
+            np.where(usable[..., None], filtered, 0.0), axis=-1
+        )
+    return SegmentStages(despiked, filtered, normalized, usable, sustained)
+
+
+def _gate_failures(
+    stages: SegmentStages, min_usable_axes: int
+) -> list[tuple[int, SignalError]]:
+    """``(row, error)`` for every row the quality gates refuse.
+
+    No sustained vibration takes precedence over too few usable axes.
+    """
+    counts = stages.usable.sum(axis=-1)
+    refused = ~stages.sustained | (counts < min_usable_axes)
+    failures: list[tuple[int, SignalError]] = []
+    for row in np.flatnonzero(refused):
+        if not stages.sustained[row]:
+            error: SignalError = OnsetNotFoundError(
+                "segment carries no sustained vibration after despiking"
+            )
+        else:
+            error = InsufficientAxesError(
+                f"only {int(counts[row])} of {NUM_AXES} axes usable; "
+                f"policy requires {min_usable_axes}"
+            )
+        failures.append((int(row), error))
+    return failures
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,45 +169,26 @@ class Preprocessor:
     def process_debug(
         self, recording: RawRecording, min_usable_axes: int = 1
     ) -> PreprocessDebug:
-        """Like :meth:`process` but returns every intermediate stage."""
+        """Like :meth:`process` but returns every intermediate stage.
+
+        The post-onset stages are those of :meth:`process_batch_detailed`
+        on a stack of one, so the result is that batch's row bit for bit
+        and a failure raises the batch failure's exception.
+        """
         cfg = self.config
         with obs.span("onset"):
-            onset = detect_onset(recording, cfg)
+            onset = detect_onset(recording, cfg, sos=self._sos)
             segments = segment_after_onset(recording, onset, cfg.segment_length)
-
-        with obs.span("outlier"):
-            despiked = np.empty_like(segments)
-            for axis in range(NUM_AXES):
-                despiked[axis] = replace_outliers(
-                    segments[axis], threshold=cfg.mad_threshold
-                )
-
-        with obs.span("filter"):
-            filtered = sosfilt(self._sos, despiked)
-        # Rejecting here turns glitch-triggered requests into refusals
-        # instead of authenticating near-silence.
-        usable, sustained = sustained_vibration(filtered, cfg.min_segment_std)
-        if not sustained:
-            raise OnsetNotFoundError(
-                "segment carries no sustained vibration after despiking"
-            )
-        if usable.sum() < min_usable_axes:
-            raise InsufficientAxesError(
-                f"only {int(usable.sum())} of {NUM_AXES} axes usable; "
-                f"policy requires {min_usable_axes}"
-            )
-        with obs.span("normalize"):
-            # Unusable axes are zeroed as in the batch path, so a NaN
-            # burst never reaches the extractor.
-            normalized = min_max_normalize(
-                np.where(usable[:, None], filtered, 0.0), axis=-1
-            )
+        stages = post_onset_stages(segments[None], cfg, self._sos)
+        refused = _gate_failures(stages, min_usable_axes)
+        if refused:
+            raise refused[0][1]
         return PreprocessDebug(
             onset=onset,
             raw_segments=segments,
-            despiked=despiked,
-            filtered=filtered,
-            normalized=normalized,
+            despiked=stages.despiked[0],
+            filtered=stages.filtered[0],
+            normalized=stages.normalized[0],
         )
 
     def process_batch(self, recordings: Sequence[RawRecording]) -> np.ndarray:
@@ -234,46 +277,16 @@ class Preprocessor:
         if not segments:
             return empty, np.empty(0, dtype=np.int64), failures, ()
 
-        stacked = np.stack(segments)
-        with obs.span("outlier"):
-            despiked = replace_outliers_batch(stacked, threshold=cfg.mad_threshold)
-        with obs.span("filter"):
-            filtered = sosfilt(self._sos, despiked)
-        usable, sustained = sustained_vibration(filtered, cfg.min_segment_std)
-        enough = usable.sum(axis=1) >= min_usable_axes
-        keep = sustained & enough
-        for local in np.flatnonzero(~keep):
-            if not sustained[local]:
-                failures.append(
-                    (
-                        indices[local],
-                        OnsetNotFoundError(
-                            "segment carries no sustained vibration after despiking"
-                        ),
-                    )
-                )
-            else:
-                count = int(usable[local].sum())
-                failures.append(
-                    (
-                        indices[local],
-                        InsufficientAxesError(
-                            f"only {count} of {NUM_AXES} axes usable; "
-                            f"policy requires {min_usable_axes}"
-                        ),
-                    )
-                )
+        stages = post_onset_stages(np.stack(segments), cfg, self._sos)
+        keep = np.ones(len(indices), dtype=bool)
+        for local, error in _gate_failures(stages, min_usable_axes):
+            keep[local] = False
+            failures.append((indices[local], error))
         failures.sort(key=lambda pair: pair[0])
         if not keep.any():
             return empty, np.empty(0, dtype=np.int64), failures, ()
-        kept_filtered = filtered[keep]  # boolean indexing copies
-        kept_usable = usable[keep]
-        if not kept_usable.all():
-            kept_filtered[~kept_usable] = 0.0
-        with obs.span("normalize"):
-            normalized = min_max_normalize(kept_filtered, axis=-1)
         kept_idx = np.asarray(indices, dtype=np.int64)[keep]
         degraded = tuple(
-            int(i) for i, row in zip(kept_idx, kept_usable) if not row.all()
+            int(i) for i, row in zip(kept_idx, stages.usable[keep]) if not row.all()
         )
-        return normalized, kept_idx, failures, degraded
+        return stages.normalized[keep], kept_idx, failures, degraded

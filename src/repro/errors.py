@@ -144,6 +144,6 @@ class InsufficientAxesError(SignalError):
 class StreamStateError(ReproError, RuntimeError):
     """A streaming primitive or session was used out of order.
 
-    Raised e.g. when a :class:`repro.stream.SegmentAssembler` is asked
-    to finalise before its segment is complete, or a closed
-    :class:`repro.stream.StreamSession` receives further samples."""
+    Raised e.g. when a :class:`repro.stream.StreamSession` is built
+    without exactly one backend, or receives samples after it was
+    closed."""

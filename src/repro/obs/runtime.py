@@ -127,8 +127,6 @@ stream_rearms_total              counter    --  (detector restarts:
                                                 refractory expiry and
                                                 onset-free rearm windows)
 stream_dropped_chunks_total      counter    --  (``stream.push`` faults)
-stream_local_refusals_total      counter    --  (pre-submit gate failures
-                                                when ``local_gate`` is on)
 ===============================  =========  ==============================
 
 Storage gauges:

@@ -58,7 +58,7 @@ from repro.dsp.detection import _detection_sos
 from repro.errors import InjectedFaultError, ShapeError, StreamStateError
 from repro.faults import runtime as faults
 from repro.obs import runtime as obs
-from repro.stream.dsp import SegmentAssembler, StreamingOnsetDetector
+from repro.stream.dsp import StreamingOnsetDetector
 from repro.types import NUM_AXES, VerificationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -155,7 +155,6 @@ class StreamSession:
         self.user_id = user_id
         self.config = config if config is not None else backend.config.stream
         self.preprocess: PreprocessConfig = backend.config.preprocess
-        self._threshold = backend.config.decision.threshold
         self._sos = _detection_sos(self.preprocess)
         self._on_decision = on_decision
         self.session_id = session_id if session_id is not None else f"s{id(self):x}"
@@ -358,22 +357,6 @@ class StreamSession:
         self._transition(SessionState.VERIFYING)
         submitted = time.perf_counter()
         meta = (self._onset_abs, self._window_start, self._window_start + self._needed)
-        if self.config.local_gate and not self._segment_passes_gate(window):
-            # The refusal the engine returns for a gate failure: the
-            # maximal sentinel distance with ``"refused"`` provenance,
-            # never an accept.
-            from repro.core.verification import REJECTED_DISTANCE
-
-            obs.inc("stream_local_refusals_total")
-            result = VerificationResult(
-                accepted=False,
-                distance=REJECTED_DISTANCE,
-                threshold=self._threshold,
-                user_id=self.user_id,
-                exit_stage="refused",
-            )
-            self._finish(decisions, result, None, "ok", submitted, meta)
-            return
         with obs.span("stream_submit"):
             if self._server is not None:
                 future = self._server.verify(
@@ -383,12 +366,6 @@ class StreamSession:
             else:
                 results = self._system.verify_many(self.user_id, [window])
                 self._finish(decisions, results[0], None, "ok", submitted, meta)
-
-    def _segment_passes_gate(self, window: np.ndarray) -> bool:
-        onset_rel = self._onset_abs - self._window_start
-        assembler = SegmentAssembler(self.preprocess)
-        assembler.push(window[onset_rel:])
-        return assembler.passes_gate()
 
     def _poll_pending(
         self, decisions: list[SessionDecision], wait_s: float | None = None

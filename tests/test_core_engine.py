@@ -134,7 +134,7 @@ class TestStageEquivalence:
         assert degraded == ()
         assert indices.tolist() == [0, 1, 2, 3]
         for row, rec in zip(signals, batch):
-            assert np.allclose(row, pre.process(rec))
+            assert np.array_equal(row, pre.process(rec))
 
     @pytest.mark.parametrize(
         "frontend",
@@ -157,7 +157,7 @@ class TestStageEquivalence:
         )
         batched = frontend.transform_batch(stack)
         for row, signal in zip(batched, stack):
-            assert np.allclose(row, frontend.transform(signal))
+            assert np.array_equal(row, frontend.transform(signal))
 
     def test_embed_matches_embed_one(self, mandipass_system, population, recorder):
         engine = mandipass_system.engine

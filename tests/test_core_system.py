@@ -81,6 +81,21 @@ class TestVerification:
         result = system.verify_presented("alice", stolen)
         assert result.accepted  # replay works before revocation...
 
+    @pytest.mark.parametrize("fill", ["nan", "inf", "mixed"])
+    def test_nonfinite_presented_vector_rejected(self, enrolled, fill):
+        system, _, _ = enrolled
+        vector = system.stored_template("alice").astype(np.float64)
+        if fill == "nan":
+            vector[:] = np.nan
+        elif fill == "inf":
+            vector[:] = np.inf
+        else:
+            vector[::3] = np.nan
+            vector[1::3] = -np.inf
+        result = system.verify_presented("alice", vector)
+        assert not result.accepted
+        assert result.distance == 2.0
+
     def test_presented_vector_helper(self, rng):
         template = rng.normal(size=32)
         ok = verify_presented_vector("u", template, template, threshold=0.45)

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.frontend import GradientFrontEnd
 from repro.dsp.gradients import (
-    gradient_array,
-    gradient_array_batch,
-    resample_to_length,
+    resample_rows_to_length,
     signal_gradients,
-    split_directions,
+    split_directions_batch,
 )
 from repro.dsp.normalize import concat_axes, min_max_normalize, z_score_normalize
 from repro.errors import ShapeError
@@ -76,61 +75,75 @@ class TestSignalGradients:
         assert signal_gradients(np.zeros((6, 60))).shape == (6, 59)
 
 
+def resample_one(values: np.ndarray, length: int) -> np.ndarray:
+    """``resample_rows_to_length`` on a single row."""
+    values = np.asarray(values, dtype=np.float64)
+    return resample_rows_to_length(values[None], [values.size], length)[0]
+
+
+def split_one(gradients: np.ndarray, width: int) -> np.ndarray:
+    """``split_directions_batch`` on a single row: ``(2, width)``."""
+    return split_directions_batch(np.asarray(gradients)[None], width)[0]
+
+
 class TestResample:
     def test_identity_when_same_length(self):
         values = np.array([1.0, 5.0, 2.0])
-        np.testing.assert_allclose(resample_to_length(values, 3), values)
+        np.testing.assert_allclose(resample_one(values, 3), values)
 
     def test_endpoint_preserving(self):
         values = np.array([1.0, 2.0, 3.0, 10.0])
-        out = resample_to_length(values, 7)
+        out = resample_one(values, 7)
         assert out[0] == 1.0 and out[-1] == 10.0
 
     def test_empty_yields_zeros(self):
-        np.testing.assert_array_equal(resample_to_length(np.array([]), 4), np.zeros(4))
+        np.testing.assert_array_equal(resample_one(np.array([]), 4), np.zeros(4))
 
     def test_single_value_repeats(self):
         np.testing.assert_array_equal(
-            resample_to_length(np.array([3.0]), 4), np.full(4, 3.0)
+            resample_one(np.array([3.0]), 4), np.full(4, 3.0)
         )
 
     def test_rejects_bad_length(self):
         with pytest.raises(ShapeError):
-            resample_to_length(np.zeros(3), 0)
+            resample_one(np.zeros(3), 0)
 
 
 class TestSplitDirections:
     def test_sign_partition(self):
         grads = np.array([1.0, -2.0, 3.0, -4.0, 0.0])
-        out = split_directions(grads, 3)
+        out = split_one(grads, 3)
         assert np.all(out[0] >= 0.0)
         assert np.all(out[1] < 0.0)
 
     def test_zero_counts_as_positive(self):
-        out = split_directions(np.array([0.0, -1.0]), 2)
+        out = split_one(np.array([0.0, -1.0]), 2)
         assert np.all(out[0] == 0.0)
 
     def test_all_positive_gives_zero_negative_row(self):
-        out = split_directions(np.array([1.0, 2.0, 3.0]), 4)
+        out = split_one(np.array([1.0, 2.0, 3.0]), 4)
         assert np.all(out[1] == 0.0)
 
 
 class TestGradientArray:
     def test_output_shape_matches_paper(self):
         """(6, 60) signal array -> (2, 6, 30) gradient array."""
-        out = gradient_array(np.random.default_rng(0).normal(size=(6, 60)))
+        out = GradientFrontEnd().transform(
+            np.random.default_rng(0).normal(size=(6, 60))
+        )
         assert out.shape == (2, 6, 30)
 
     def test_custom_width(self):
-        out = gradient_array(np.zeros((6, 60)), width=10)
-        assert out.shape == (2, 6, 10)
+        out = split_directions_batch(signal_gradients(np.zeros((6, 60))), 10)
+        assert out.shape == (6, 2, 10)
 
     def test_batch_matches_single(self, rng):
         arrays = rng.normal(size=(3, 6, 60))
-        batch = gradient_array_batch(arrays)
+        frontend = GradientFrontEnd()
+        batch = frontend.transform_batch(arrays)
         for idx in range(3):
-            np.testing.assert_allclose(batch[idx], gradient_array(arrays[idx]))
+            np.testing.assert_array_equal(batch[idx], frontend.transform(arrays[idx]))
 
     def test_batch_rejects_wrong_ndim(self):
         with pytest.raises(ShapeError):
-            gradient_array_batch(np.zeros((6, 60)))
+            GradientFrontEnd().transform_batch(np.zeros((6, 60)))

@@ -91,8 +91,8 @@ def _assert_parity(gallery, users, probes):
 class TestMutationLog:
     def test_fifo_and_pop_after_apply(self):
         log = MutationLog()
-        log.append(GalleryMutation(kind="remove", user_id="a"))
-        log.append(GalleryMutation(kind="remove", user_id="b"))
+        log.upsert(GalleryMutation(kind="upsert", user_id="a"))
+        log.remove(GalleryMutation(kind="remove", user_id="b"), held=lambda _: True)
         assert len(log) == 2
         assert log.peek().user_id == "a"
         assert log.peek().user_id == "a"  # peek does not consume
@@ -104,14 +104,14 @@ class TestMutationLog:
 
     def test_concurrent_appends_all_land(self):
         log = MutationLog()
+
+        def append_users(thread: int) -> None:
+            # Distinct users, so no upsert coalesces with another.
+            for i in range(100):
+                log.upsert(GalleryMutation(kind="upsert", user_id=f"u{thread}-{i}"))
+
         threads = [
-            threading.Thread(
-                target=lambda: [
-                    log.append(GalleryMutation(kind="remove", user_id="x"))
-                    for _ in range(100)
-                ]
-            )
-            for _ in range(4)
+            threading.Thread(target=append_users, args=(t,)) for t in range(4)
         ]
         for thread in threads:
             thread.start()

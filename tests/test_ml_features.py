@@ -5,7 +5,6 @@ import pytest
 
 from repro.ml.features import (
     FEATURE_NAMES,
-    axis_statistics,
     statistical_features,
     statistical_features_batch,
 )
@@ -14,7 +13,7 @@ from repro.ml.features import (
 class TestAxisStatistics:
     def test_six_features_in_order(self):
         segment = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        stats = axis_statistics(segment)
+        stats = statistical_features(np.tile(segment, (6, 1)))[:6]
         assert stats.shape == (6,)
         assert stats[0] == pytest.approx(3.0)  # mean
         assert stats[1] == pytest.approx(3.0)  # median
@@ -35,8 +34,17 @@ class TestStatisticalFeatures:
     def test_layout_is_axis_major(self, rng):
         array = rng.normal(size=(6, 60))
         sfs = statistical_features(array)
-        np.testing.assert_allclose(sfs[:6], axis_statistics(array[0]))
-        np.testing.assert_allclose(sfs[6:12], axis_statistics(array[1]))
+        for axis in (0, 1):
+            segment = array[axis]
+            expected = [
+                segment.mean(),
+                np.median(segment),
+                segment.var(),
+                segment.std(),
+                np.percentile(segment, 75),
+                np.percentile(segment, 25),
+            ]
+            np.testing.assert_allclose(sfs[6 * axis : 6 * axis + 6], expected)
 
     def test_batch(self, rng):
         arrays = rng.normal(size=(4, 6, 60))

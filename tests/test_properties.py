@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.core.similarity import accept, cosine_distance, pairwise_cosine_distance
 from repro.dsp.filters import design_highpass, frequency_response, sosfilt
-from repro.dsp.gradients import resample_to_length, split_directions
+from repro.dsp.gradients import resample_rows_to_length, split_directions_batch
 from repro.dsp.normalize import min_max_normalize
 from repro.dsp.outliers import mad_outlier_mask, replace_outliers
 from repro.eval.metrics import false_accept_rate, false_reject_rate
@@ -56,6 +56,29 @@ class TestSimilarityProperties:
         assert out.shape == (n, m)
 
 
+class TestNonFiniteNeverMatches:
+    """A NaN or infinite entry is maximally distant, never accepted."""
+
+    @given(
+        vectors(4, 32),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.integers(0, 15),
+        st.booleans(),
+        st.floats(-1.0, 1.999999),
+    )
+    def test_nonfinite_input_exceeds_every_threshold(
+        self, uv, bad, at, swap, threshold
+    ):
+        half = uv.size // 2
+        u, v = uv[:half].copy(), uv[half : 2 * half]
+        u[at % half] = bad
+        if swap:
+            u, v = v, u
+        distance = cosine_distance(u, v)
+        assert distance == 2.0
+        assert not accept(distance, threshold)
+
+
 class TestThresholdAudit:
     """Widening a decision threshold never flips a surviving accept."""
 
@@ -92,7 +115,7 @@ class TestNormalizeProperties:
 class TestGradientProperties:
     @given(vectors(2, 60), st.integers(1, 40))
     def test_resample_preserves_bounds(self, v, length):
-        out = resample_to_length(v, length)
+        out = resample_rows_to_length(v[None], [v.size], length)[0]
         assert out.shape == (length,)
         if v.size:
             assert out.min() >= v.min() - 1e-9
@@ -100,7 +123,7 @@ class TestGradientProperties:
 
     @given(vectors(2, 60), st.integers(2, 30))
     def test_split_directions_partition(self, grads, width):
-        out = split_directions(grads, width)
+        out = split_directions_batch(grads[None], width)[0]
         assert out.shape == (2, width)
         assert np.all(out[0] >= -1e-12)
         assert np.all(out[1] <= 1e-12)

@@ -421,9 +421,11 @@ def _assert_same_result(served, direct, strict=True):
     micro-batch composition matches the direct call (the engine forward
     is deterministic in the batch *content*).  With a different batch
     split the BLAS gemms take different blocking paths, so distances
-    agree only to float re-association (the same tolerance the golden
-    engine suite pins batch-vs-single parity at) while the decisions
-    must still be identical.
+    agree only to float re-association while the decisions must still
+    be identical.  The system computes in float32, so the bound is the
+    float32 one ``tests/test_stream_session.py`` applies to
+    server-vs-sync distances; a different split has moved one distance
+    by 7.6e-7 relative.
     """
     if direct is None:
         assert served is None
@@ -432,7 +434,7 @@ def _assert_same_result(served, direct, strict=True):
     if strict:
         assert served.distance == direct.distance  # bitwise, not approx
     else:
-        assert served.distance == pytest.approx(direct.distance, rel=1e-9)
+        assert served.distance == pytest.approx(direct.distance, rel=1e-5)
     assert served.threshold == direct.threshold
     assert served.user_id == direct.user_id
 

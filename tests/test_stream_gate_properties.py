@@ -1,13 +1,12 @@
-"""The sustained-vibration gate: one rule at every site that applies it.
+"""The sustained-vibration gate: one rule, applied in one place.
 
-The batch pipeline, the single-recording pipeline and a stream
-session's optional local gate all call
-:func:`repro.dsp.pipeline.sustained_vibration`: an axis counts only
-when it is finite end to end and carries signal, and the gate holds
-when the largest usable-axis std reaches ``min_segment_std``.  So
-turning ``StreamConfig.local_gate`` on can never change a decision:
-the only difference it makes is *where* a refusal is produced, and a
-local refusal is the same ``"refused"`` result the backend returns.
+The batch pipeline applies :func:`repro.dsp.pipeline.sustained_vibration`
+(an axis counts only when it is finite end to end and carries signal,
+and the gate holds when the largest usable-axis std reaches
+``min_segment_std``); the single-recording pipeline is its batch of
+one, and a stream session submits its window to the backend, which runs
+that batch pipeline.  So a session's decision on a glitch, a NaN burst
+or a dead axis is the backend's decision on the submitted window.
 """
 
 from __future__ import annotations
@@ -17,12 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import obs
 from repro.config import StreamConfig
 from repro.dsp.detection import detect_onset
 from repro.dsp.pipeline import sustained_vibration
 from repro.errors import InsufficientAxesError
-from repro.stream import SegmentAssembler, StreamSession
+from repro.stream import StreamSession
 
 GYRO_Z = 5
 
@@ -34,20 +32,15 @@ def gate_system():
     return build_bench_system(dtype="float32", num_probes=4)
 
 
-def run_session(system, user_id, feed, local_gate):
-    """(decisions, local refusals) of one system-backed session."""
+def run_session(system, user_id, feed):
+    """The decisions of one system-backed session over ``feed``."""
     session = StreamSession(
-        user_id,
-        system=system,
-        config=StreamConfig(cooldown_samples=105, local_gate=local_gate),
+        user_id, system=system, config=StreamConfig(cooldown_samples=105)
     )
-    with obs.collecting() as registry:
-        decisions = []
-        for pos in range(0, feed.shape[0], 35):
-            decisions += session.push(feed[pos : pos + 35])
-        decisions += session.close()
-        local = registry.to_dict()["counters"].get("stream_local_refusals_total", 0)
-    return decisions, int(local)
+    decisions = []
+    for pos in range(0, feed.shape[0], 35):
+        decisions += session.push(feed[pos : pos + 35])
+    return decisions + session.close()
 
 
 def nan_burst_feed(system, probe, offset=20, axis=GYRO_Z):
@@ -87,61 +80,48 @@ def build_feed(system, probes, spec):
     return probe
 
 
-class TestLocalGateNeverChangesADecision:
+class TestBackendGate:
     @given(spec=feeds())
     @settings(max_examples=25)
     @example(spec=("nan", 0, GYRO_Z - 3, 20))
     @example(spec=("glitch", 0, 0, 80))
-    def test_local_gate_on_equals_off(self, gate_system, spec):
+    def test_session_decision_is_the_backend_decision(self, gate_system, spec):
         system, user_id, probes = gate_system
         feed = build_feed(system, probes, spec)
-        off, local_off = run_session(system, user_id, feed, local_gate=False)
-        on, local_on = run_session(system, user_id, feed, local_gate=True)
-        assert local_off == 0
-        assert [(d.onset, d.window_start, d.window_end, d.status) for d in on] == [
-            (d.onset, d.window_start, d.window_end, d.status) for d in off
-        ]
-        assert [d.result for d in on] == [d.result for d in off]
-        backend_refusals = sum(d.result.exit_stage == "refused" for d in off)
-        assert local_on <= backend_refusals
+        for decision in run_session(system, user_id, feed):
+            window = feed[decision.window_start : decision.window_end]
+            assert decision.result == system.verify(user_id, window)
 
     def test_nan_burst_on_gyro_is_degraded_not_refused(self, gate_system):
         system, user_id, probes = gate_system
         feed = nan_burst_feed(system, np.array(probes[0], dtype=np.float64))
         backend = system.verify(user_id, feed)
         assert backend.exit_stage == "full" and backend.degraded
-        off, _ = run_session(system, user_id, feed, local_gate=False)
-        on, local = run_session(system, user_id, feed, local_gate=True)
-        assert local == 0
-        assert [d.result for d in on] == [d.result for d in off] == [backend]
+        assert [d.result for d in run_session(system, user_id, feed)] == [backend]
 
-    def test_local_refusal_has_refused_provenance(self, gate_system):
+    def test_glitch_refusal_has_refused_provenance(self, gate_system):
         system, user_id, _ = gate_system
         feed = build_feed(system, [], ("glitch", 0, 0, 80))
-        on, local = run_session(system, user_id, feed, local_gate=True)
-        assert local == 1
-        window = feed[on[0].window_start : on[0].window_end]
-        assert on[0].result == system.verify(user_id, window)
-        assert on[0].result.exit_stage == "refused"
+        decisions = run_session(system, user_id, feed)
+        assert len(decisions) == 1
+        assert decisions[0].result.exit_stage == "refused"
+        assert not decisions[0].result.accepted
 
 
 class TestOneGateRule:
-    def test_assembler_and_pipelines_agree_on_a_nan_axis(self, gate_system):
+    def test_pipelines_agree_on_a_nan_axis(self, gate_system):
         system, _, probes = gate_system
         feed = nan_burst_feed(system, np.array(probes[0], dtype=np.float64))
         preprocessor = system.preprocessor
         # The single-recording path gates like the batch path does.
-        preprocessor.process_debug(feed)
+        single_signal = preprocessor.process_debug(feed).normalized
         signals, _, failures, degraded = preprocessor.process_batch_detailed([feed])
         assert len(signals) == 1 and not failures and degraded == (0,)
-        onset = detect_onset(feed, system.config.preprocess)
-        assembler = SegmentAssembler(system.config.preprocess)
-        assembler.push(feed[onset:])
-        assert assembler.passes_gate()
+        np.testing.assert_array_equal(single_signal, signals[0])
         # Both paths zero the unusable axis before the extractor.
         single = system.engine.embed_one(feed)
         assert np.isfinite(single).all()
-        np.testing.assert_allclose(single, system.engine.embed([feed]).values[0])
+        np.testing.assert_array_equal(single, system.engine.embed([feed]).values[0])
 
     def test_adapt_on_a_nan_burst_keeps_the_template_finite(self):
         # A NaN embedding used to read as distance 0 (the cosine clamp

@@ -178,23 +178,6 @@ class TestSessionStateMachine:
         assert seen == returned and len(seen) == 1
 
     @watchdog()
-    def test_local_gate_refuses_before_submit(self, stream_system):
-        system, user_id, _ = stream_system
-        from repro.core.verification import REJECTED_DISTANCE
-
-        config = StreamConfig(cooldown_samples=105, local_gate=True)
-        session = StreamSession(user_id, system=system, config=config)
-        # A glitch burst triggers detection but despikes to nothing:
-        # the gate must refuse locally, with the engine's sentinel.
-        rng = np.random.default_rng(0)
-        recording = rng.normal(scale=10.0, size=(300, 6))
-        recording[100:104] += 50000.0
-        decisions = feed(session, recording) + session.close()
-        assert len(decisions) == 1
-        assert decisions[0].result.distance == REJECTED_DISTANCE
-        assert not decisions[0].result.accepted
-
-    @watchdog()
     def test_metrics_families_populated(self, stream_system):
         system, user_id, probes = stream_system
         with obs.collecting() as registry:
